@@ -1,14 +1,14 @@
-// LP engine scaling curve: dense vs sparse normal equations, cold vs
-// warm-started lazy rounds, on EBF instances of growing size — plus the
-// factor-kernel curve (supernodal vs simplicial sparse Cholesky) that
-// pushes the envelope to 16k sinks.
+// LP engine scaling curve: cold vs warm-started lazy rounds of the
+// interior point on EBF instances of growing size — plus the factor-kernel
+// curve (supernodal vs simplicial sparse Cholesky) that pushes the envelope
+// to 16k sinks.
 //
 // For each sink count the same instance (topology + delay window) is solved
-// four ways — {dense, sparse} normal equations x {cold, warm} lazy rounds —
-// and the wall time, its lp/separation phase split, total interior-point
-// iterations, lazy rounds and objective are reported. The objectives must
-// agree to 1e-6 relative across all four variants; disagreement is a hard
-// error (exit 1), which makes the bench double as a correctness gate.
+// twice — cold and warm lazy rounds — and the wall time, its lp/separation
+// phase split, total interior-point iterations, lazy rounds and objective
+// are reported. The two objectives must agree to 1e-6 relative;
+// disagreement is a hard error (exit 1), which makes the bench double as a
+// correctness gate.
 //
 // The kernel phase isolates the Newton-step bottleneck: one symbolic
 // analysis per instance, then repeated numeric Factor() calls per
@@ -65,7 +65,6 @@ namespace {
 
 struct VariantResult {
   std::string name;
-  bool sparse = false;
   bool warm = false;
   Status status;
   double seconds = 0.0;
@@ -104,16 +103,13 @@ struct KernelResult {
   }
 };
 
-VariantResult RunVariant(const EbfProblem& prob, bool sparse, bool warm) {
+VariantResult RunVariant(const EbfProblem& prob, bool warm) {
   VariantResult out;
-  out.sparse = sparse;
   out.warm = warm;
-  out.name = std::string(sparse ? "sparse" : "dense") + "+" +
-             (warm ? "warm" : "cold");
+  out.name = warm ? "warm" : "cold";
   EbfSolveOptions opt;
   opt.strategy = EbfStrategy::kLazy;
   opt.lp.engine = LpEngine::kInteriorPoint;
-  opt.lp.normal_eq = sparse ? IpmNormalEq::kSparse : IpmNormalEq::kDense;
   opt.lp.warm_start_lazy_rounds = warm;
   // The zero-skew shortcut would bypass the LP entirely; the ranged windows
   // below never trigger it, but keep the intent explicit.
@@ -132,7 +128,7 @@ VariantResult RunVariant(const EbfProblem& prob, bool sparse, bool warm) {
   return out;
 }
 
-// Solve one instance all four ways; returns false on any failure or
+// Solve one instance cold and warm; returns false on any failure or
 // objective disagreement.
 bool RunSize(int sinks, std::uint64_t seed, SizeResult* out) {
   SinkSet set = RandomSinkSet(sinks, BBox({0.0, 0.0}, {1000.0, 1000.0}), seed,
@@ -148,17 +144,15 @@ bool RunSize(int sinks, std::uint64_t seed, SizeResult* out) {
 
   out->sinks = sinks;
   bool ok = true;
-  for (const bool sparse : {false, true}) {
-    for (const bool warm : {false, true}) {
-      VariantResult v = RunVariant(prob, sparse, warm);
-      v.lp_cols = topo.NumEdges();
-      if (!v.status.ok()) {
-        std::fprintf(stderr, "FAIL %d sinks %s: %s\n", sinks, v.name.c_str(),
-                     v.status.ToString().c_str());
-        ok = false;
-      }
-      out->variants.push_back(std::move(v));
+  for (const bool warm : {false, true}) {
+    VariantResult v = RunVariant(prob, warm);
+    v.lp_cols = topo.NumEdges();
+    if (!v.status.ok()) {
+      std::fprintf(stderr, "FAIL %d sinks %s: %s\n", sinks, v.name.c_str(),
+                   v.status.ToString().c_str());
+      ok = false;
     }
+    out->variants.push_back(std::move(v));
   }
   if (!ok) return false;
 
@@ -275,14 +269,13 @@ void WriteJson(const std::string& path, const std::string& mode, int jobs,
       const VariantResult& r = sr.variants[v];
       std::fprintf(
           f,
-          "        {\"engine\": \"%s\", \"sparse_normal\": %s, "
+          "        {\"engine\": \"%s\", "
           "\"warm_lazy_rounds\": %s, \"seconds\": %.6f, "
           "\"lp_seconds\": %.6f, \"separation_seconds\": %.6f, "
           "\"lp_iterations\": %d, \"lazy_rounds\": %d, "
           "\"symbolic_reuses\": %d, \"warm_rounds\": %d, "
           "\"lp_rows\": %d, \"lp_cols\": %d, \"objective\": %.12g}%s\n",
-          r.name.c_str(), r.sparse ? "true" : "false",
-          r.warm ? "true" : "false", r.seconds, r.lp_seconds, r.sep_seconds,
+          r.name.c_str(), r.warm ? "true" : "false", r.seconds, r.lp_seconds, r.sep_seconds,
           r.lp_iterations, r.lazy_rounds, r.symbolic_reuses, r.warm_rounds,
           r.lp_rows, r.lp_cols, r.objective,
           v + 1 < sr.variants.size() ? "," : "");
@@ -319,7 +312,7 @@ int main(int argc, char** argv) {
   }
   if (parsed->Has("help")) {
     std::printf(
-        "lp_scaling: dense/sparse x cold/warm LP engine scaling curve plus\n"
+        "lp_scaling: cold/warm LP engine scaling curve plus\n"
         "supernodal-vs-simplicial factor kernel curve\n"
         "  --smoke      small fixed instances, agreement gates only\n"
         "  --kernel     factor kernel only at {4096, 16384}, gated\n"
@@ -372,7 +365,7 @@ int main(int argc, char** argv) {
     all.push_back(std::move(sr));
   }
   if (!sizes.empty()) {
-    std::printf("\n=== LP scaling: normal equations x warm start ===\n%s",
+    std::printf("\n=== LP scaling: cold vs warm lazy rounds ===\n%s",
                 table.ToString().c_str());
   }
 
@@ -431,18 +424,16 @@ int main(int argc, char** argv) {
     }
   }
   if (!smoke && !kernel_only && ok && !all.empty()) {
-    // Headline numbers: the tentpole claim is sparse+warm vs dense+cold.
+    // Headline numbers: warm lazy rounds vs cold at the largest size.
     const SizeResult& biggest = all.back();
-    double dense_cold = 0.0;
-    double sparse_warm = 0.0;
+    double cold = 0.0;
+    double warm = 0.0;
     for (const VariantResult& v : biggest.variants) {
-      if (!v.sparse && !v.warm) dense_cold = v.seconds;
-      if (v.sparse && v.warm) sparse_warm = v.seconds;
+      (v.warm ? warm : cold) = v.seconds;
     }
-    if (sparse_warm > 0.0) {
-      std::printf("%d sinks: dense+cold %.3fs, sparse+warm %.3fs (%.1fx)\n",
-                  biggest.sinks, dense_cold, sparse_warm,
-                  dense_cold / sparse_warm);
+    if (warm > 0.0) {
+      std::printf("%d sinks: cold %.3fs, warm %.3fs (%.2fx)\n", biggest.sinks,
+                  cold, warm, cold / warm);
     }
   }
   if (!ok) {

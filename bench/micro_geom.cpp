@@ -133,31 +133,7 @@ std::vector<Point> RandomPoints(int n, std::uint64_t seed) {
 
 // Octant-aggregate sweep shaped like the separation oracle's bottom-up
 // pass: include a point per slot, merge each slot into its parent (i/2),
-// then screen adjacent slots with the cross bound. AoS object array vs the
-// lane-major OctantSoa store (identical arithmetic, bitwise-equal bounds).
-void BM_OctantAggregateSweep(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto pts = RandomPoints(n, 8);
-  for (auto _ : state) {
-    std::vector<OctantMax> agg(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const auto k = static_cast<std::size_t>(i);
-      agg[k].Include(pts[k], -0.01 * static_cast<double>(i));
-    }
-    for (int i = n - 1; i >= 1; --i) {
-      agg[static_cast<std::size_t>(i / 2)].Merge(
-          agg[static_cast<std::size_t>(i)]);
-    }
-    double acc = 0.0;
-    for (int i = 0; i + 1 < n; ++i) {
-      acc += OctantMax::CrossBound(agg[static_cast<std::size_t>(i)],
-                                   agg[static_cast<std::size_t>(i + 1)]);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_OctantAggregateSweep)->Arg(1024)->Arg(16384);
-
+// then screen adjacent slots with the cross bound.
 void BM_OctantSoaSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto pts = RandomPoints(n, 8);

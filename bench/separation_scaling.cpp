@@ -1,18 +1,16 @@
-// Separation-oracle scaling curve: SoA octant aggregates vs the AoS octant
-// path vs the all-pairs brute-force scan, measured on the *real* iterates
-// of a lazy solve, plus the grid-soa vs grid vs scan nearest-neighbour
-// topology build.
+// Separation-oracle scaling curve: SoA octant aggregates vs the all-pairs
+// brute-force scan, measured on the *real* iterates of a lazy solve, plus
+// the grid-soa vs scan nearest-neighbour topology build.
 //
 // For each sink count one instance is built and lazily solved once with a
-// wrapper oracle that, every round, runs the AoS octant oracle, the SoA
-// octant oracle (serial and at --jobs workers) AND the brute-force
-// reference on the identical LP point, times each, and demands the
-// returned row sequences be bitwise identical (supports, coefficients,
-// bounds, order). Any disagreement is a hard error (exit 1): the bench
-// doubles as the oracle's correctness gate. End-to-end SolveEbf wall time
-// is then measured per separation mode (no cross-timing interference), and
-// NnMergeTopology is timed grid-soa vs grid vs scan with node-for-node
-// equality checks.
+// wrapper oracle that, every round, runs the SoA octant oracle (serial and
+// at --jobs workers) AND the brute-force reference on the identical LP
+// point, times each, and demands the returned row sequences be bitwise
+// identical (supports, coefficients, bounds, order). Any disagreement is a
+// hard error (exit 1): the bench doubles as the oracle's correctness gate.
+// End-to-end SolveEbf wall time is then measured per separation mode (no
+// cross-timing interference), and NnMergeTopology is timed grid-soa vs
+// scan with node-for-node equality checks.
 //
 // Above 2048 sinks the quadratic baselines are sampled rather than swept:
 // brute force runs only on the round-0 iterate (the seed relaxation's
@@ -26,8 +24,7 @@
 //                  quoted in EXPERIMENTS.md. Gates: SoA >= 5x brute at
 //                  1024..2048 sinks (accumulated), >= 8x at larger sizes
 //                  (round-0; measured 10.6x at 4k and 14.5x at 16k on the
-//                  1-core reference container), and SoA no slower than
-//                  1/0.85 of AoS at >= 1024 sinks. LUBT_BENCH_SCALE is
+//                  1-core reference container). LUBT_BENCH_SCALE is
 //                  deliberately ignored (engine benchmark, not a paper
 //                  table).
 //   --big N        the sampled large-size protocol at N sinks only
@@ -72,8 +69,7 @@ struct SizeResult {
   // Separation phase (accumulated over all lazy rounds, identical iterates).
   int sep_calls = 0;
   int rows_found = 0;
-  double sep_octant_seconds = 0.0;  ///< AoS reference path, serial
-  double sep_soa_seconds = 0.0;     ///< SoA path, serial
+  double sep_soa_seconds = 0.0;  ///< SoA path, serial
   double sep_soa_jobs_seconds = 0.0;
   double sep_brute_seconds = 0.0;  ///< accumulated (detail) / round 0 only
   double sep_r0_soa_seconds = 0.0;
@@ -81,15 +77,12 @@ struct SizeResult {
   bool rows_agree = true;
   // End-to-end solves, one per mode (detail sizes only).
   double e2e_soa_seconds = 0.0;
-  double e2e_octant_seconds = 0.0;
   double e2e_brute_seconds = 0.0;
   double e2e_soa_objective = 0.0;
-  double e2e_octant_objective = 0.0;
   double e2e_brute_objective = 0.0;
   bool objectives_agree = true;
   // Topology construction.
   double topo_gridsoa_seconds = 0.0;
-  double topo_grid_seconds = 0.0;
   double topo_scan_seconds = 0.0;
   bool topo_agree = true;
 
@@ -100,10 +93,6 @@ struct SizeResult {
     return sep_r0_soa_seconds > 0.0
                ? sep_r0_brute_seconds / sep_r0_soa_seconds
                : 0.0;
-  }
-  /// AoS time over SoA time; > 1 means the SoA path is faster.
-  double AosRatio() const {
-    return sep_soa_seconds > 0.0 ? sep_octant_seconds / sep_soa_seconds : 0.0;
   }
 };
 
@@ -144,20 +133,12 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
   out->sinks = sinks;
   out->detail = sinks <= kDetailCap;
 
-  // Topology: grid-soa (the default) vs grid vs scan, timed, node-for-node
-  // equal. The scan baseline is quadratic and only run on detail sizes.
+  // Topology: grid-soa (the default) vs scan, timed, node-for-node equal.
+  // The scan baseline is quadratic and only run on detail sizes.
   Timer topo_timer;
   const Topology topo =
       NnMergeTopology(set.sinks, set.source, NnMergeAccel::kGridSoa);
   out->topo_gridsoa_seconds = topo_timer.Seconds();
-  topo_timer.Restart();
-  const Topology topo_grid =
-      NnMergeTopology(set.sinks, set.source, NnMergeAccel::kGrid);
-  out->topo_grid_seconds = topo_timer.Seconds();
-  if (!SameTopology(topo, topo_grid)) {
-    std::fprintf(stderr, "FAIL %d sinks: grid-soa topology != grid\n", sinks);
-    out->topo_agree = false;
-  }
   if (out->detail) {
     topo_timer.Restart();
     const Topology topo_scan =
@@ -178,8 +159,8 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
 
   const EbfSolveOptions defaults;  // tol / row cap / round cap knobs
 
-  // One lazy solve through a wrapper oracle that runs all separation
-  // variants on the identical iterate and gates on exact agreement.
+  // One lazy solve through a wrapper oracle that runs every separation
+  // variant on the identical iterate and gates on exact agreement.
   {
     Result<EbfFormulation> built =
         EbfFormulation::Build(prob, SteinerRowPolicy::kSeed);
@@ -190,12 +171,14 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
     }
     EbfFormulation& f = *built;
     const RowOracle oracle = [&](std::span<const double> x) {
+      // Untimed warm-up on the first iterate: grows the formulation's
+      // scratch buffers so every timed call below runs in steady state.
+      if (out->sep_calls == 0) {
+        (void)f.FindViolatedSteinerRows(x, defaults.separation_tol,
+                                        defaults.max_rows_per_round,
+                                        {SeparationMode::kOctantSoa, 1});
+      }
       Timer t;
-      const auto aos = f.FindViolatedSteinerRows(
-          x, defaults.separation_tol, defaults.max_rows_per_round,
-          {SeparationMode::kOctant, 1});
-      out->sep_octant_seconds += t.Seconds();
-      t.Restart();
       auto soa = f.FindViolatedSteinerRows(
           x, defaults.separation_tol, defaults.max_rows_per_round,
           {SeparationMode::kOctantSoa, 1});
@@ -223,9 +206,10 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
           out->rows_agree = false;
         }
       }
-      if (!SameRows(soa, aos) || !SameRows(soa, threaded)) {
+      if (!SameRows(soa, threaded)) {
         std::fprintf(stderr,
-                     "FAIL %d sinks: oracle row sets disagree in round %d\n",
+                     "FAIL %d sinks: serial and threaded rows disagree in "
+                     "round %d\n",
                      sinks, out->sep_calls);
         out->rows_agree = false;
       }
@@ -252,8 +236,7 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
   // (detail sizes only: the brute solve is quadratic per round).
   if (out->detail) {
     for (const SeparationMode mode :
-         {SeparationMode::kOctantSoa, SeparationMode::kOctant,
-          SeparationMode::kBruteForce}) {
+         {SeparationMode::kOctantSoa, SeparationMode::kBruteForce}) {
       EbfSolveOptions opt;
       opt.separation = mode;
       opt.separation_jobs = 1;
@@ -264,31 +247,21 @@ bool RunSize(int sinks, std::uint64_t seed, int jobs, int max_rounds,
                      SeparationModeName(mode), r.status.ToString().c_str());
         return false;
       }
-      switch (mode) {
-        case SeparationMode::kOctantSoa:
-          out->e2e_soa_seconds = r.seconds;
-          out->e2e_soa_objective = r.objective;
-          break;
-        case SeparationMode::kOctant:
-          out->e2e_octant_seconds = r.seconds;
-          out->e2e_octant_objective = r.objective;
-          break;
-        case SeparationMode::kBruteForce:
-          out->e2e_brute_seconds = r.seconds;
-          out->e2e_brute_objective = r.objective;
-          break;
+      if (mode == SeparationMode::kOctantSoa) {
+        out->e2e_soa_seconds = r.seconds;
+        out->e2e_soa_objective = r.objective;
+      } else {
+        out->e2e_brute_seconds = r.seconds;
+        out->e2e_brute_objective = r.objective;
       }
     }
     const double ref = out->e2e_soa_objective;
-    for (const double other :
-         {out->e2e_octant_objective, out->e2e_brute_objective}) {
-      if (std::abs(other - ref) > 1e-6 * (1.0 + std::abs(ref))) {
-        std::fprintf(
-            stderr,
-            "FAIL %d sinks: e2e objectives disagree (%.12g vs %.12g)\n",
-            sinks, ref, other);
-        out->objectives_agree = false;
-      }
+    const double other = out->e2e_brute_objective;
+    if (std::abs(other - ref) > 1e-6 * (1.0 + std::abs(ref))) {
+      std::fprintf(stderr,
+                   "FAIL %d sinks: e2e objectives disagree (%.12g vs %.12g)\n",
+                   sinks, ref, other);
+      out->objectives_agree = false;
     }
   }
   return out->rows_agree && out->objectives_agree && out->topo_agree;
@@ -305,22 +278,20 @@ void WriteJson(const std::string& path, const std::string& mode, int jobs,
         f,
         "    {\"sinks\": %d, \"detail\": %s, \"sep_calls\": %d, "
         "\"rows_found\": %d,\n"
-        "     \"sep_octant_seconds\": %.6f, \"sep_soa_seconds\": %.6f, "
+        "     \"sep_soa_seconds\": %.6f, "
         "\"sep_soa_jobs_seconds\": %.6f, \"sep_brute_seconds\": %.6f,\n"
         "     \"sep_r0_soa_seconds\": %.6f, \"sep_r0_brute_seconds\": %.6f, "
-        "\"sep_speedup\": %.2f, \"sep_r0_speedup\": %.2f, "
-        "\"aos_over_soa\": %.3f,\n"
-        "     \"e2e_soa_seconds\": %.6f, \"e2e_octant_seconds\": %.6f, "
+        "\"sep_speedup\": %.2f, \"sep_r0_speedup\": %.2f,\n"
+        "     \"e2e_soa_seconds\": %.6f, "
         "\"e2e_brute_seconds\": %.6f, \"objective\": %.12g,\n"
-        "     \"topo_gridsoa_seconds\": %.6f, \"topo_grid_seconds\": %.6f, "
+        "     \"topo_gridsoa_seconds\": %.6f, "
         "\"topo_scan_seconds\": %.6f, \"rows_agree\": %s, "
         "\"topo_agree\": %s}%s\n",
         r.sinks, r.detail ? "true" : "false", r.sep_calls, r.rows_found,
-        r.sep_octant_seconds, r.sep_soa_seconds, r.sep_soa_jobs_seconds,
-        r.sep_brute_seconds, r.sep_r0_soa_seconds, r.sep_r0_brute_seconds,
-        r.SepSpeedup(), r.R0Speedup(), r.AosRatio(), r.e2e_soa_seconds,
-        r.e2e_octant_seconds, r.e2e_brute_seconds, r.e2e_soa_objective,
-        r.topo_gridsoa_seconds, r.topo_grid_seconds, r.topo_scan_seconds,
+        r.sep_soa_seconds, r.sep_soa_jobs_seconds, r.sep_brute_seconds,
+        r.sep_r0_soa_seconds, r.sep_r0_brute_seconds, r.SepSpeedup(),
+        r.R0Speedup(), r.e2e_soa_seconds, r.e2e_brute_seconds,
+        r.e2e_soa_objective, r.topo_gridsoa_seconds, r.topo_scan_seconds,
         r.rows_agree ? "true" : "false", r.topo_agree ? "true" : "false",
         s + 1 < all.size() ? "," : "");
   }
@@ -340,8 +311,8 @@ int main(int argc, char** argv) {
   }
   if (parsed->Has("help")) {
     std::printf(
-        "separation_scaling: soa/aos octant vs brute-force oracle + "
-        "grid-soa/grid/scan topology\n"
+        "separation_scaling: soa octant vs brute-force oracle + "
+        "grid-soa/scan topology\n"
         "  --smoke      small fixed instances, agreement gates only\n"
         "  --big N      sampled large-size protocol at N sinks only "
         "(default 16384)\n"
@@ -369,10 +340,9 @@ int main(int argc, char** argv) {
 
   std::vector<SizeResult> all;
   bool ok = true;
-  TextTable table({"sinks", "rounds", "rows", "sep_aos(s)", "sep_soa(s)",
-                   "sep_par(s)", "sep_brute(s)", "speedup", "aos/soa",
-                   "e2e_soa(s)", "e2e_brute(s)", "topo_soa(s)",
-                   "topo_grid(s)", "topo_scan(s)"});
+  TextTable table({"sinks", "rounds", "rows", "sep_soa(s)", "sep_par(s)",
+                   "sep_brute(s)", "speedup", "e2e_soa(s)", "e2e_brute(s)",
+                   "topo_soa(s)", "topo_scan(s)"});
   for (const int sinks : sizes) {
     SizeResult sr;
     if (!RunSize(sinks, static_cast<std::uint64_t>(*seed), *jobs,
@@ -381,17 +351,14 @@ int main(int argc, char** argv) {
     }
     table.AddRow({std::to_string(sr.sinks), std::to_string(sr.sep_calls),
                   std::to_string(sr.rows_found),
-                  FormatDouble(sr.sep_octant_seconds, 4),
                   FormatDouble(sr.sep_soa_seconds, 4),
                   FormatDouble(sr.sep_soa_jobs_seconds, 4),
                   FormatDouble(sr.sep_brute_seconds, 4),
                   FormatDouble(sr.detail ? sr.SepSpeedup() : sr.R0Speedup(),
                                1),
-                  FormatDouble(sr.AosRatio(), 2),
                   FormatDouble(sr.e2e_soa_seconds, 3),
                   FormatDouble(sr.e2e_brute_seconds, 3),
                   FormatDouble(sr.topo_gridsoa_seconds, 4),
-                  FormatDouble(sr.topo_grid_seconds, 4),
                   FormatDouble(sr.topo_scan_seconds, 4)});
     all.push_back(std::move(sr));
   }
@@ -403,8 +370,6 @@ int main(int argc, char** argv) {
   if (!smoke) {
     // Headline + hard gates. Detail sizes compare accumulated separation
     // time; sampled sizes compare the round-0 call (the densest iterate).
-    // The AoS-parity gate keeps the SoA default honest: restructuring the
-    // layout must not cost the small-size curve.
     for (const SizeResult& r : all) {
       if (r.sinks < 1024) continue;
       if (r.detail) {
@@ -432,13 +397,6 @@ int main(int argc, char** argv) {
               r.sinks, r.R0Speedup());
           ok = false;
         }
-      }
-      if (r.AosRatio() < 0.85) {
-        std::fprintf(stderr,
-                     "FAIL %d sinks: soa separation is %.2fx of aos "
-                     "(< 0.85x parity gate)\n",
-                     r.sinks, r.AosRatio());
-        ok = false;
       }
     }
   }

@@ -16,8 +16,6 @@ const char* SeparationModeName(SeparationMode mode) {
   switch (mode) {
     case SeparationMode::kOctantSoa:
       return "octant-soa";
-    case SeparationMode::kOctant:
-      return "octant";
     case SeparationMode::kBruteForce:
       return "brute-force";
   }
@@ -444,13 +442,13 @@ void EbfFormulation::BruteForceViolations(std::span<const double> root_dist,
   }
 }
 
-template <typename CrossFn>
-void EbfFormulation::EnumerateBucketImpl(NodeId bucket,
-                                         std::span<const double> root_dist,
-                                         double tol,
-                                         std::span<const std::uint8_t> dirty,
-                                         const CrossFn& cross,
-                                         std::vector<Violation>* out) const {
+void EbfFormulation::EnumerateBucket(NodeId bucket,
+                                     std::span<const double> root_dist,
+                                     double tol,
+                                     std::span<const std::uint8_t> dirty,
+                                     const OctantSoa& agg,
+                                     const OctantSoa& dagg,
+                                     std::vector<Violation>* out) const {
   const Topology& topo = *problem_->topo;
   const bool dirty_only = !dirty.empty();
   const double two_rd = 2.0 * root_dist[static_cast<std::size_t>(bucket)];
@@ -460,7 +458,7 @@ void EbfFormulation::EnumerateBucketImpl(NodeId bucket,
   // of subtrees descends only while some contained sink pair can still beat
   // the tolerance, so pruned branches cost O(1) and each reported pair costs
   // O(depth). The bound is exact at singleton/singleton level; the final
-  // test nevertheless re-runs the brute-force arithmetic so all modes emit
+  // test nevertheless re-runs the brute-force arithmetic so both modes emit
   // bitwise-identical violations. In dirty mode the bound only covers pairs
   // with a dirty endpoint, so clean-x-clean branches prune immediately.
   std::vector<std::pair<NodeId, NodeId>> stack;
@@ -468,7 +466,12 @@ void EbfFormulation::EnumerateBucketImpl(NodeId bucket,
   while (!stack.empty()) {
     const auto [a, b] = stack.back();
     stack.pop_back();
-    const double bound = cross(a, b) + two_rd;
+    const std::size_t sa = static_cast<std::size_t>(a);
+    const std::size_t sb = static_cast<std::size_t>(b);
+    const double bound = (dirty_only
+                              ? OctantSoa::CrossBoundDirty(agg, dagg, sa, sb)
+                              : OctantSoa::CrossBound(agg, sa, agg, sb)) +
+                         two_rd;
     if (!(bound > tol - kScreenSlack)) continue;
     const TopoNode& na = topo.Node(a);
     const TopoNode& nb = topo.Node(b);
@@ -507,106 +510,14 @@ void EbfFormulation::OctantViolations(std::span<const double> root_dist,
                                       double tol, int jobs,
                                       std::span<const std::uint8_t> dirty,
                                       std::vector<Violation>* found) const {
-  const Topology& topo = *problem_->topo;
-  const std::size_t n = static_cast<std::size_t>(topo.NumNodes());
-  const bool dirty_only = !dirty.empty();
-
-  // Bottom-up octant aggregates: agg[v] holds, per sign combination s, the
-  // max of s.(p/scale) - rootdist over the sinks below v. Small subtrees
-  // merge into large in one post-order sweep, O(1) per node. Dirty mode
-  // maintains a second aggregate over the flagged sinks only, feeding the
-  // restricted CrossBoundDirty screen.
-  std::vector<OctantMax>& agg = octant_scratch_;
-  std::vector<OctantMax>& dagg = octant_dirty_scratch_;
-  agg.assign(n, OctantMax{});
-  if (dirty_only) dagg.assign(n, OctantMax{});
-  for (const NodeId v : post_order_) {
-    OctantMax& e = agg[static_cast<std::size_t>(v)];
-    if (topo.IsSinkNode(v)) {
-      const std::size_t s = static_cast<std::size_t>(topo.SinkIndex(v));
-      const Point& p = problem_->sinks[s];
-      e.Include(Point{p.x / scale_, p.y / scale_},
-                -root_dist[static_cast<std::size_t>(v)]);
-      if (dirty_only && dirty[s] != 0) {
-        dagg[static_cast<std::size_t>(v)] = e;
-      }
-      continue;
-    }
-    const TopoNode& node = topo.Node(v);
-    for (const NodeId child : {node.left, node.right}) {
-      if (child == kInvalidNode) continue;
-      e.Merge(agg[static_cast<std::size_t>(child)]);
-      if (dirty_only) {
-        dagg[static_cast<std::size_t>(v)].Merge(
-            dagg[static_cast<std::size_t>(child)]);
-      }
-    }
-  }
-
-  // O(n) screen: pairs with LCA = v can violate only when the octant cross
-  // bound over (left, right) plus 2 rootdist(v) clears the tolerance.
-  std::vector<NodeId>& buckets = bucket_scratch_;
-  buckets.clear();
-  for (const NodeId v : post_order_) {
-    const TopoNode& node = topo.Node(v);
-    if (node.left == kInvalidNode || node.right == kInvalidNode) continue;
-    const std::size_t l = static_cast<std::size_t>(node.left);
-    const std::size_t r = static_cast<std::size_t>(node.right);
-    const double bound =
-        (dirty_only ? OctantMax::CrossBoundDirty(agg[l], dagg[l], agg[r],
-                                                 dagg[r])
-                    : OctantMax::CrossBound(agg[l], agg[r])) +
-        2.0 * root_dist[static_cast<std::size_t>(v)];
-    if (bound > tol - kScreenSlack) buckets.push_back(v);
-  }
-
-  // Enumerate surviving buckets, optionally on the runtime's pool. Buckets
-  // write to disjoint slots and the merge below walks slots in bucket
-  // order, so the result is identical at any worker count.
-  std::vector<std::vector<Violation>>& outs = bucket_out_scratch_;
-  if (outs.size() < buckets.size()) outs.resize(buckets.size());
-  ParallelFor(static_cast<int>(buckets.size()), jobs, [&](int i) {
-    outs[static_cast<std::size_t>(i)].clear();
-    std::vector<Violation>* out = &outs[static_cast<std::size_t>(i)];
-    const NodeId bucket = buckets[static_cast<std::size_t>(i)];
-    if (dirty_only) {
-      EnumerateBucketImpl(
-          bucket, root_dist, tol, dirty,
-          [&](NodeId a, NodeId b) {
-            return OctantMax::CrossBoundDirty(
-                agg[static_cast<std::size_t>(a)],
-                dagg[static_cast<std::size_t>(a)],
-                agg[static_cast<std::size_t>(b)],
-                dagg[static_cast<std::size_t>(b)]);
-          },
-          out);
-    } else {
-      EnumerateBucketImpl(
-          bucket, root_dist, tol, dirty,
-          [&](NodeId a, NodeId b) {
-            return OctantMax::CrossBound(agg[static_cast<std::size_t>(a)],
-                                         agg[static_cast<std::size_t>(b)]);
-          },
-          out);
-    }
-  });
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    found->insert(found->end(), outs[i].begin(), outs[i].end());
-  }
-}
-
-void EbfFormulation::OctantViolationsSoa(std::span<const double> root_dist,
-                                         double tol, int jobs,
-                                         std::span<const std::uint8_t> dirty,
-                                         std::vector<Violation>* found) const {
   const std::size_t n = static_cast<std::size_t>(problem_->topo->NumNodes());
   const bool dirty_only = !dirty.empty();
 
-  // Same sweep as OctantViolations, but the aggregates live in lane-major
-  // OctantSoa stores and the topology is streamed from the flat post-order
-  // arrays. Every Include/Merge/CrossBound is the identical max chain over
-  // the identical values, so the bucket list, the descent, and the emitted
-  // violations are bitwise equal to the AoS oracle's.
+  // Bottom-up octant aggregates: slot v holds, per sign combination s, the
+  // max of s.(p/scale) - rootdist over the sinks below v, streamed from the
+  // flat post-order arrays in one sweep, O(1) per node. Dirty mode keeps a
+  // second aggregate over the flagged sinks only, feeding the restricted
+  // CrossBoundDirty screen.
   OctantSoa& agg = octant_soa_scratch_;
   OctantSoa& dagg = octant_soa_dirty_scratch_;
   agg.Assign(n);
@@ -629,8 +540,8 @@ void EbfFormulation::OctantViolationsSoa(std::span<const double> root_dist,
     }
   }
 
-  // O(n) screen over the flat arrays; push order matches the AoS oracle
-  // (post order), so the bucket lists are identical.
+  // O(n) screen: pairs with LCA = v can violate only when the octant cross
+  // bound over (left, right) plus 2 rootdist(v) clears the tolerance.
   std::vector<NodeId>& buckets = bucket_scratch_;
   buckets.clear();
   for (std::size_t i = 0; i < post_order_.size(); ++i) {
@@ -646,30 +557,16 @@ void EbfFormulation::OctantViolationsSoa(std::span<const double> root_dist,
     if (bound > tol - kScreenSlack) buckets.push_back(post_order_[i]);
   }
 
+  // Enumerate surviving buckets, optionally on the runtime's pool. Buckets
+  // write to disjoint slots and the merge below walks slots in bucket
+  // order, so the result is identical at any worker count.
   std::vector<std::vector<Violation>>& outs = bucket_out_scratch_;
   if (outs.size() < buckets.size()) outs.resize(buckets.size());
   ParallelFor(static_cast<int>(buckets.size()), jobs, [&](int i) {
-    outs[static_cast<std::size_t>(i)].clear();
     std::vector<Violation>* out = &outs[static_cast<std::size_t>(i)];
-    const NodeId bucket = buckets[static_cast<std::size_t>(i)];
-    if (dirty_only) {
-      EnumerateBucketImpl(
-          bucket, root_dist, tol, dirty,
-          [&](NodeId a, NodeId b) {
-            return OctantSoa::CrossBoundDirty(agg, dagg,
-                                              static_cast<std::size_t>(a),
-                                              static_cast<std::size_t>(b));
-          },
-          out);
-    } else {
-      EnumerateBucketImpl(
-          bucket, root_dist, tol, dirty,
-          [&](NodeId a, NodeId b) {
-            return OctantSoa::CrossBound(agg, static_cast<std::size_t>(a),
-                                         agg, static_cast<std::size_t>(b));
-          },
-          out);
-    }
+    out->clear();
+    EnumerateBucket(buckets[static_cast<std::size_t>(i)], root_dist, tol,
+                    dirty, agg, dagg, out);
   });
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     found->insert(found->end(), outs[i].begin(), outs[i].end());
@@ -695,10 +592,8 @@ std::vector<SparseRow> EbfFormulation::SeparateImpl(
   found.clear();
   if (sep.mode == SeparationMode::kBruteForce) {
     BruteForceViolations(root_dist, tol, dirty, &found);
-  } else if (sep.mode == SeparationMode::kOctant) {
-    OctantViolations(root_dist, tol, sep.jobs, dirty, &found);
   } else {
-    OctantViolationsSoa(root_dist, tol, sep.jobs, dirty, &found);
+    OctantViolations(root_dist, tol, sep.jobs, dirty, &found);
   }
 
   // Keep the strongest max_rows violations: selection in O(V), then order

@@ -78,12 +78,11 @@ enum class SteinerRowPolicy {
   kSeed,     ///< one farthest cross pair per internal node (for lazy solving)
 };
 
-/// How FindViolatedSteinerRows searches for violated pairs. All modes
+/// How FindViolatedSteinerRows searches for violated pairs. Both modes
 /// return the exact same rows in the exact same order (the bench and the
 /// randomized tests gate on bitwise agreement).
 enum class SeparationMode {
-  kOctantSoa,   ///< octant screen over lane-major aggregates (default)
-  kOctant,      ///< LCA-bucketed octant screen + branch-and-bound (AoS)
+  kOctantSoa,   ///< LCA-bucketed octant screen + branch-and-bound (default)
   kBruteForce,  ///< all-pairs scan; O(m^2) cross-check reference
 };
 
@@ -92,7 +91,7 @@ const char* SeparationModeName(SeparationMode mode);
 /// Knobs for one separation call.
 struct SeparationOptions {
   SeparationMode mode = SeparationMode::kOctantSoa;
-  /// Worker threads for bucket enumeration (octant modes only). Results
+  /// Worker threads for bucket enumeration (kOctantSoa only). Results
   /// are bitwise identical at any worker count.
   int jobs = 1;
 };
@@ -176,7 +175,7 @@ class EbfFormulation {
   /// Dirty-restricted separation: like FindViolatedSteinerRows but only over
   /// pairs with at least one endpoint in `dirty_sink` (one flag per sink
   /// index). The octant mode carries a second, dirty-only aggregate per
-  /// subtree and screens buckets with OctantMax::CrossBoundDirty, so clean
+  /// subtree and screens buckets with OctantSoa::CrossBoundDirty, so clean
   /// regions of the tree are pruned in O(1) — the ECO engine's fast
   /// re-separation path after a localized edit. Both modes agree bitwise.
   std::vector<SparseRow> FindViolatedSteinerRowsDirty(
@@ -209,29 +208,23 @@ class EbfFormulation {
 
   static bool StrongerViolation(const Violation& x, const Violation& y);
 
-  // The separation search strategies; all append the identical
+  // The two separation search strategies; both append the identical
   // violated-pair set (node-id-normalized, unordered) to `found`. An empty
   // `dirty` span means every pair is in scope; otherwise only pairs with a
-  // flagged endpoint are searched. kOctant and kOctantSoa share the exact
-  // same screen/descent arithmetic through EnumerateBucketImpl; they differ
-  // only in the memory layout the aggregates are read from.
+  // flagged endpoint are searched.
   void BruteForceViolations(std::span<const double> root_dist, double tol,
                             std::span<const std::uint8_t> dirty,
                             std::vector<Violation>* found) const;
   void OctantViolations(std::span<const double> root_dist, double tol,
                         int jobs, std::span<const std::uint8_t> dirty,
                         std::vector<Violation>* found) const;
-  void OctantViolationsSoa(std::span<const double> root_dist, double tol,
-                           int jobs, std::span<const std::uint8_t> dirty,
-                           std::vector<Violation>* found) const;
-  // Branch-and-bound descent under one LCA bucket; `cross` maps a subtree
-  // node pair to the octant cross bound (without the 2*rootdist(bucket)
-  // term). Instantiated once per aggregate layout in formulation.cpp.
-  template <typename CrossFn>
-  void EnumerateBucketImpl(NodeId bucket, std::span<const double> root_dist,
-                           double tol, std::span<const std::uint8_t> dirty,
-                           const CrossFn& cross,
-                           std::vector<Violation>* out) const;
+  // Branch-and-bound descent under one LCA bucket, screening subtree node
+  // pairs with the octant cross bound of `agg` (and, in dirty mode, the
+  // dirty-only aggregates `dagg`).
+  void EnumerateBucket(NodeId bucket, std::span<const double> root_dist,
+                       double tol, std::span<const std::uint8_t> dirty,
+                       const OctantSoa& agg, const OctantSoa& dagg,
+                       std::vector<Violation>* out) const;
   std::vector<SparseRow> SeparateImpl(
       std::span<const double> x, double tol, int max_rows,
       const SeparationOptions& sep, std::span<const std::uint8_t> dirty,
@@ -245,7 +238,7 @@ class EbfFormulation {
   int num_steiner_rows_ = 0;
   std::vector<NodeId> sink_nodes_;  // by sink index
   std::vector<NodeId> post_order_;  // cached topo.PostOrder()
-  // Flat topology arrays aligned with post_order_ (SoA oracle): children
+  // Flat topology arrays aligned with post_order_ (octant oracle): children
   // node ids (kInvalidNode when absent) and sink index (-1 for internal
   // nodes), prefetched once at Build — a formulation's topology is fixed,
   // so the aggregate sweep and bucket screen stream these contiguously
@@ -264,8 +257,6 @@ class EbfFormulation {
   mutable std::vector<double> edge_len_scratch_;
   mutable std::vector<double> root_dist_scratch_;
   mutable std::vector<Violation> violation_scratch_;
-  mutable std::vector<OctantMax> octant_scratch_;       // per node id
-  mutable std::vector<OctantMax> octant_dirty_scratch_;  // dirty sinks only
   mutable OctantSoa octant_soa_scratch_;        // lane-major, per node id
   mutable OctantSoa octant_soa_dirty_scratch_;  // dirty sinks only
   mutable std::vector<NodeId> bucket_scratch_;          // screened LCAs

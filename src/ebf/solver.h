@@ -31,9 +31,8 @@ struct EbfSolveOptions {
   /// Separation tolerance in radius-normalized units.
   double separation_tol = 1e-7;
   /// How the lazy strategy finds violated Steiner rows. kOctantSoa is the
-  /// output-sensitive oracle over lane-major aggregates; kOctant (AoS) and
-  /// kBruteForce are kept as cross-check paths (identical rows, identical
-  /// order).
+  /// output-sensitive oracle over lane-major aggregates; kBruteForce is the
+  /// all-pairs cross-check path (identical rows, identical order).
   SeparationMode separation = SeparationMode::kOctantSoa;
   /// Worker threads for the octant oracle's bucket enumeration (results are
   /// worker-count invariant; 1 = inline).

@@ -14,7 +14,7 @@
 //    (exact — the row's support never changes while the topology stands);
 //  * re-separation first targets the edit's dirty region — pairs with an
 //    edited endpoint, screened through the octant oracle's dirty aggregates
-//    (OctantMax::CrossBoundDirty) — and then certifies optimality with full
+//    (OctantSoa::CrossBoundDirty) — and then certifies optimality with full
 //    output-sensitive separation passes, so convergence is never declared
 //    from a partial view of the pair space;
 //  * the interior point warm-starts from the previous primal/dual iterate

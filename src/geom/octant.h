@@ -26,84 +26,14 @@
 
 namespace lubt {
 
-/// Per-octant maxima of s.p + offset over a point set, one slot per sign
-/// combination s in {(+,+), (+,-), (-,+), (-,-)}.
-struct OctantMax {
-  static constexpr int kOctants = 4;
-
-  double m[kOctants] = {
-      -std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity()};
-
-  /// s.p for octant k; the order above makes Opposite(k) == 3 - k.
-  static double Key(int k, const Point& p) {
-    switch (k) {
-      case 0: return p.x + p.y;
-      case 1: return p.x - p.y;
-      case 2: return p.y - p.x;
-      default: return -p.x - p.y;
-    }
-  }
-
-  /// Index of the negated sign combination.
-  static constexpr int Opposite(int k) { return kOctants - 1 - k; }
-
-  /// Fold one point with an additive offset into the maxima.
-  void Include(const Point& p, double offset) {
-    for (int k = 0; k < kOctants; ++k) {
-      m[k] = std::max(m[k], Key(k, p) + offset);
-    }
-  }
-
-  /// Pointwise max with another aggregate (set union).
-  void Merge(const OctantMax& o) {
-    for (int k = 0; k < kOctants; ++k) m[k] = std::max(m[k], o.m[k]);
-  }
-
-  bool Empty() const {
-    return m[0] == -std::numeric_limits<double>::infinity();
-  }
-
-  /// max over p in A, q in B of dist(p, q) + offset_A(p) + offset_B(q).
-  /// -inf when either side is empty.
-  static double CrossBound(const OctantMax& a, const OctantMax& b) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (int k = 0; k < kOctants; ++k) {
-      best = std::max(best, a.m[k] + b.m[Opposite(k)]);
-    }
-    return best;
-  }
-
-  /// CrossBound restricted to pairs with at least one point in a marked
-  /// ("dirty") subset: each side carries two aggregates, one over all its
-  /// points and one over the dirty points only, and
-  ///   max(CrossBound(dirty_A, all_B), CrossBound(all_A, dirty_B))
-  /// bounds every pair with >= 1 dirty endpoint. This is the screen the ECO
-  /// engine uses to re-separate only the region an edit touched
-  /// (eco/eco_session.cpp) without losing the exactness of CrossBound.
-  static double CrossBoundDirty(const OctantMax& a_all,
-                                const OctantMax& a_dirty,
-                                const OctantMax& b_all,
-                                const OctantMax& b_dirty) {
-    return std::max(CrossBound(a_dirty, b_all), CrossBound(a_all, b_dirty));
-  }
-};
-
-/// Key-major (structure-of-arrays) store of OctantMax aggregates: lane k
-/// holds, contiguously, the octant-k maximum of every slot. In diagonal
-/// coordinates the four lanes are the subtree maxima of +u, -v, +v, -u
-/// (each plus the per-point offset), so bulk operations — the Assign reset,
-/// the bottom-up Merge sweep, the bucket screen — become branch-free
-/// min/max reductions over flat double arrays instead of strided walks over
-/// an array of 4-wide structs.
-///
-/// Every operation performs the *identical* std::max chain over the
-/// *identical* Key(k, p) + offset values as the OctantMax it mirrors, so
-/// each bound is bitwise equal to the AoS aggregate's. The SoA separation
-/// backend (SeparationMode::kOctantSoa) rides on that equality: same bounds
-/// => same pruning decisions => byte-identical violated-row output.
+/// Per-octant maxima of s.p + offset over indexed point sets ("slots"), one
+/// lane per sign combination s in {(+,+), (+,-), (-,+), (-,-)}: lane k holds,
+/// contiguously, the octant-k maximum of every slot. In diagonal coordinates
+/// the four lanes are the subtree maxima of +u, -v, +v, -u (each plus the
+/// per-point offset), so bulk operations — the Assign reset, the bottom-up
+/// Merge sweep, the bucket screen — are branch-free max reductions over flat
+/// double arrays. The separation oracle (ebf/formulation.cpp) keeps one slot
+/// per topology node.
 class OctantSoa {
  public:
   /// Reset to n empty slots (four contiguous -inf fills).
@@ -115,22 +45,22 @@ class OctantSoa {
 
   std::size_t size() const { return lane_[0].size(); }
 
-  /// OctantMax::Include on slot i.
+  /// Fold one point with an additive offset into slot i.
   void Include(std::size_t i, const Point& p, double offset) {
-    for (int k = 0; k < OctantMax::kOctants; ++k) {
+    for (int k = 0; k < kOctants; ++k) {
       double& m = lane_[static_cast<std::size_t>(k)][i];
-      m = std::max(m, OctantMax::Key(k, p) + offset);
+      m = std::max(m, Key(k, p) + offset);
     }
   }
 
-  /// OctantMax::Merge of slot src into slot dst (lane-wise max).
+  /// Fold slot src into slot dst (set union: lane-wise max).
   void Merge(std::size_t dst, std::size_t src) {
     for (auto& lane : lane_) lane[dst] = std::max(lane[dst], lane[src]);
   }
 
   /// Copy slot src of `o` into slot dst (seeds the dirty aggregate).
   void CopyFrom(std::size_t dst, const OctantSoa& o, std::size_t src) {
-    for (int k = 0; k < OctantMax::kOctants; ++k) {
+    for (int k = 0; k < kOctants; ++k) {
       lane_[static_cast<std::size_t>(k)][dst] =
           o.lane_[static_cast<std::size_t>(k)][src];
     }
@@ -140,23 +70,27 @@ class OctantSoa {
     return lane_[0][i] == -std::numeric_limits<double>::infinity();
   }
 
-  /// OctantMax::CrossBound with side A drawn from slot a of `a_store` and
-  /// side B from slot b of `b_store` — the same k-ascending max chain over
-  /// the same sums, hence the bitwise-identical bound.
+  /// max over p in A, q in B of dist(p, q) + offset_A(p) + offset_B(q), with
+  /// side A the set in slot a of `a_store` and side B the set in slot b of
+  /// `b_store`. -inf when either side is empty.
   static double CrossBound(const OctantSoa& a_store, std::size_t a,
                            const OctantSoa& b_store, std::size_t b) {
     double best = -std::numeric_limits<double>::infinity();
-    for (int k = 0; k < OctantMax::kOctants; ++k) {
-      best = std::max(
-          best, a_store.lane_[static_cast<std::size_t>(k)][a] +
-                    b_store.lane_[static_cast<std::size_t>(
-                        OctantMax::Opposite(k))][b]);
+    for (int k = 0; k < kOctants; ++k) {
+      const std::size_t ka = static_cast<std::size_t>(k);
+      const std::size_t kb = static_cast<std::size_t>(Opposite(k));
+      best = std::max(best, a_store.lane_[ka][a] + b_store.lane_[kb][b]);
     }
     return best;
   }
 
-  /// OctantMax::CrossBoundDirty over two parallel stores (`all` = every
-  /// point, `dirty` = the flagged subset, same slot indexing).
+  /// CrossBound restricted to pairs with at least one point in a marked
+  /// ("dirty") subset. `all` aggregates every point and `dirty` the flagged
+  /// subset, with the same slot indexing, and
+  ///   max(CrossBound(dirty_a, all_b), CrossBound(all_a, dirty_b))
+  /// bounds every pair with >= 1 dirty endpoint. This is the screen the ECO
+  /// engine uses to re-separate only the region an edit touched
+  /// (eco/eco_session.cpp) without losing the exactness of CrossBound.
   static double CrossBoundDirty(const OctantSoa& all, const OctantSoa& dirty,
                                 std::size_t a, std::size_t b) {
     return std::max(CrossBound(dirty, a, all, b),
@@ -164,7 +98,22 @@ class OctantSoa {
   }
 
  private:
-  std::vector<double> lane_[OctantMax::kOctants];
+  static constexpr int kOctants = 4;
+
+  // s.p for octant k; the lane order makes Opposite(k) == 3 - k.
+  static double Key(int k, const Point& p) {
+    switch (k) {
+      case 0: return p.x + p.y;
+      case 1: return p.x - p.y;
+      case 2: return p.y - p.x;
+      default: return -p.x - p.y;
+    }
+  }
+
+  // Index of the negated sign combination.
+  static constexpr int Opposite(int k) { return kOctants - 1 - k; }
+
+  std::vector<double> lane_[kOctants];
 };
 
 }  // namespace lubt

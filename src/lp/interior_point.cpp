@@ -17,119 +17,18 @@ double InfNorm(std::span<const double> v) {
   return m;
 }
 
-// Dense lower-triangular Cholesky, factored in place over the assembled
-// normal matrix (the upper triangle keeps the mirrored input values, which
-// is what lets the regularization fallback restart from the saved diagonal
-// plus the mirror instead of recopying a pristine n x n buffer).
-class DenseNormalFactor {
- public:
-  void Reset(int n) {
-    n_ = n;
-    a_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
-    saved_diag_.resize(static_cast<std::size_t>(n));
-  }
-
-  /// Assembly target; fill both triangles (mirrored), then call Factor.
-  std::vector<double>& matrix() { return a_; }
-
-  /// Factor in place with escalating diagonal regularization. Returns false
-  /// if the matrix could not be factored even with regularization.
-  bool Factor() {
-    for (int i = 0; i < n_; ++i) {
-      saved_diag_[static_cast<std::size_t>(i)] = a_[Idx(i, i)];
-    }
-    attempts_ = 0;
-    double reg = 0.0;
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      if (attempt > 0) {
-        // Restore the destroyed lower triangle from the untouched upper
-        // mirror and the saved diagonal, then bump the regularization.
-        for (int r = 0; r < n_; ++r) {
-          for (int c = 0; c < r; ++c) a_[Idx(r, c)] = a_[Idx(c, r)];
-        }
-        double trace = 0.0;
-        for (int i = 0; i < n_; ++i) {
-          trace += saved_diag_[static_cast<std::size_t>(i)];
-        }
-        const double base = std::max(trace / n_, 1.0) * 1e-12;
-        reg = reg == 0.0 ? base : reg * 1e4;
-        for (int i = 0; i < n_; ++i) {
-          a_[Idx(i, i)] = saved_diag_[static_cast<std::size_t>(i)] + reg;
-        }
-      }
-      if (TryFactorInPlace()) {
-        attempts_ = attempt;
-        return true;
-      }
-    }
-    attempts_ = 4;
-    return false;
-  }
-
-  /// Diagonal-regularization retries spent by the last Factor call.
-  int attempts() const { return attempts_; }
-
-  // Solve L L' x = b in place.
-  void Solve(std::vector<double>& b) const {
-    for (int i = 0; i < n_; ++i) {
-      double s = b[static_cast<std::size_t>(i)];
-      const double* li = &a_[Idx(i, 0)];
-      for (int k = 0; k < i; ++k) s -= li[k] * b[static_cast<std::size_t>(k)];
-      b[static_cast<std::size_t>(i)] = s / li[i];
-    }
-    for (int i = n_ - 1; i >= 0; --i) {
-      double s = b[static_cast<std::size_t>(i)];
-      for (int k = i + 1; k < n_; ++k) {
-        s -= a_[Idx(k, i)] * b[static_cast<std::size_t>(k)];
-      }
-      b[static_cast<std::size_t>(i)] = s / a_[Idx(i, i)];
-    }
-  }
-
- private:
-  std::size_t Idx(int r, int c) const {
-    return static_cast<std::size_t>(r) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(c);
-  }
-
-  bool TryFactorInPlace() {
-    for (int j = 0; j < n_; ++j) {
-      double d = a_[Idx(j, j)];
-      const double* lj = &a_[Idx(j, 0)];
-      for (int k = 0; k < j; ++k) d -= lj[k] * lj[k];
-      if (!(d > 0.0) || !std::isfinite(d)) return false;
-      const double ljj = std::sqrt(d);
-      a_[Idx(j, j)] = ljj;
-      const double inv = 1.0 / ljj;
-      for (int i = j + 1; i < n_; ++i) {
-        double s = a_[Idx(i, j)];
-        const double* li = &a_[Idx(i, 0)];
-        for (int k = 0; k < j; ++k) s -= li[k] * lj[k];
-        a_[Idx(i, j)] = s * inv;
-      }
-    }
-    return true;
-  }
-
-  int n_ = 0;
-  std::vector<double> a_;
-  std::vector<double> saved_diag_;
-  int attempts_ = 0;
-};
-
 class MehrotraSolver {
  public:
   MehrotraSolver(const CompiledLpModel& a, std::span<const double> cost,
-                 const LpSolverOptions& options, SparseNormalFactor* sparse,
-                 bool use_sparse, bool symbolic_reused)
+                 const LpSolverOptions& options, SparseNormalFactor& factor,
+                 bool symbolic_reused)
       : a_(a),
         c_(cost.begin(), cost.end()),
         n_(a.num_cols),
         m_(a.num_rows),
         tol_(options.tolerance),
         max_iter_(options.max_iterations > 0 ? options.max_iterations : 200),
-        sparse_(sparse),
-        use_sparse_(use_sparse),
+        factor_(factor),
         symbolic_reused_(symbolic_reused) {
     b_ = a_.rhs;
     bnorm_ = 1.0 + InfNorm(b_);
@@ -139,13 +38,10 @@ class MehrotraSolver {
 
   LpSolution Run() {
     LpSolution out;
-    out.sparse_normal = use_sparse_;
     out.symbolic_reused = symbolic_reused_;
     InitPoint();
     out.warm_started = warm_started_;
 
-    DenseNormalFactor dense;
-    if (!use_sparse_) dense.Reset(n_);
     row_weight_.assign(static_cast<std::size_t>(m_), 0.0);
     col_diag_.assign(static_cast<std::size_t>(n_), 0.0);
 
@@ -216,22 +112,15 @@ class MehrotraSolver {
             Clamp(z_[static_cast<std::size_t>(j)] /
                   x_[static_cast<std::size_t>(j)]);
       }
-      bool factored;
-      if (use_sparse_) {
-        factored = sparse_->Factor(a_, row_weight_, col_diag_);
-        out.regularizations += sparse_->attempts();
-      } else {
-        BuildNormalMatrix(dense.matrix());
-        factored = dense.Factor();
-        out.regularizations += dense.attempts();
-      }
+      const bool factored = factor_.Factor(a_, row_weight_, col_diag_);
+      out.regularizations += factor_.attempts();
       if (!factored) {
         out.status = Status::NumericalFailure("Cholesky factorization failed");
         return out;
       }
 
       // Predictor (affine) direction: sigma = 0.
-      SolveNewton(dense, /*sigma_mu=*/0.0, /*corrector=*/false);
+      SolveNewton(/*sigma_mu=*/0.0, /*corrector=*/false);
       const double ap_aff = std::min(1.0, StepLength(x_, dx_, w_, dw_));
       const double ad_aff = std::min(1.0, StepLength(z_, dz_, y_, dy_));
       double mu_aff = 0.0;
@@ -247,7 +136,7 @@ class MehrotraSolver {
 
       // Corrector direction reuses the factorization.
       dx_aff_ = dx_; dw_aff_ = dw_; dy_aff_ = dy_; dz_aff_ = dz_;
-      SolveNewton(dense, sigma * mu, /*corrector=*/true);
+      SolveNewton(sigma * mu, /*corrector=*/true);
 
       const double tau = std::min(0.99995, std::max(0.995, 1.0 - 0.1 * mu));
       const double ap = std::min(1.0, tau * StepLength(x_, dx_, w_, dw_));
@@ -400,36 +289,6 @@ class MehrotraSolver {
     }
   }
 
-  void BuildNormalMatrix(std::vector<double>& normal) {
-    std::fill(normal.begin(), normal.end(), 0.0);
-    auto idx = [&](int r, int c) {
-      return static_cast<std::size_t>(r) * static_cast<std::size_t>(n_) +
-             static_cast<std::size_t>(c);
-    };
-    for (int j = 0; j < n_; ++j) {
-      normal[idx(j, j)] = col_diag_[static_cast<std::size_t>(j)];
-    }
-    for (int i = 0; i < m_; ++i) {
-      const double s = row_weight_[static_cast<std::size_t>(i)];
-      const std::int64_t begin = a_.row_ptr[static_cast<std::size_t>(i)];
-      const std::int64_t end = a_.row_ptr[static_cast<std::size_t>(i) + 1];
-      for (std::int64_t pa = begin; pa < end; ++pa) {
-        const double sa = s * a_.val[static_cast<std::size_t>(pa)];
-        const int ja = a_.col[static_cast<std::size_t>(pa)];
-        for (std::int64_t pb = begin; pb <= pa; ++pb) {
-          const int jb = a_.col[static_cast<std::size_t>(pb)];
-          // columns ascend => jb <= ja: fill lower triangle.
-          normal[idx(ja, jb)] += sa * a_.val[static_cast<std::size_t>(pb)];
-        }
-      }
-    }
-    // Mirror to the upper triangle; the factor restores its lower triangle
-    // from this mirror when the regularization fallback retries.
-    for (int r = 0; r < n_; ++r) {
-      for (int c = r + 1; c < n_; ++c) normal[idx(r, c)] = normal[idx(c, r)];
-    }
-  }
-
   static double Clamp(double v) {
     return std::min(std::max(v, 1e-12), 1e12);
   }
@@ -437,8 +296,7 @@ class MehrotraSolver {
   // Solve one Newton system. For the predictor (corrector=false):
   //   r_xz = -XZe, r_wy = -WYe.
   // For the corrector: r_xz = sigma_mu e - XZe - dXaff dZaff e, etc.
-  void SolveNewton(const DenseNormalFactor& dense, double sigma_mu,
-                   bool corrector) {
+  void SolveNewton(double sigma_mu, bool corrector) {
     // g1 = rd - X^-1 r_xz ;  g2 = rp + Y^-1 r_wy.
     for (int j = 0; j < n_; ++j) {
       double rxz = -x_[static_cast<std::size_t>(j)] *
@@ -481,11 +339,7 @@ class MehrotraSolver {
       }
     }
 
-    if (use_sparse_) {
-      sparse_->Solve(rhs_);
-    } else {
-      dense.Solve(rhs_);
-    }
+    factor_.Solve(rhs_);
     dx_ = rhs_;
 
     // dy = Dw^-1 (g2 - A dx);  dw = Y^-1 (rwy - W dy);  dz = X^-1 (rxz - Z dx).
@@ -530,8 +384,7 @@ class MehrotraSolver {
   int max_iter_;
   double bnorm_ = 1.0;
   double cnorm_ = 1.0;
-  SparseNormalFactor* sparse_ = nullptr;
-  bool use_sparse_ = false;
+  SparseNormalFactor& factor_;
   bool symbolic_reused_ = false;
   const LpWarmStart* warm_ = nullptr;
   bool warm_started_ = false;
@@ -564,40 +417,27 @@ LpSolution SolveWithInteriorPoint(const LpModel& model,
     return out;
   }
 
-  // Pick the normal-equations path. kAuto keeps small models on the
-  // historical dense path bit for bit, and falls back to dense whenever the
-  // pattern is too filled for sparse bookkeeping to win.
+  // The symbolic analysis is reused when the model only grew by rows that
+  // stay inside the analyzed pattern (the lazy-row regime); otherwise it is
+  // rebuilt. Every Newton step then factors sparse on that analysis.
   SparseNormalFactor local_factor;
-  SparseNormalFactor* factor = nullptr;
-  bool use_sparse = false;
-  bool symbolic_reused = false;
-  const bool consider_sparse =
-      options.normal_eq == IpmNormalEq::kSparse ||
-      (options.normal_eq == IpmNormalEq::kAuto &&
-       a.num_cols >= options.sparse_min_cols);
-  if (consider_sparse) {
-    factor = options.ipm_context != nullptr ? &options.ipm_context->normal
-                                            : &local_factor;
-    factor->SetMode(options.factor_mode, options.factor_jobs);
-    if (factor->TryExtend(a)) {
-      symbolic_reused = true;
-      if (options.ipm_context != nullptr) {
-        ++options.ipm_context->symbolic_reuses;
-      }
-    } else {
-      factor->Analyze(a);
-      if (options.ipm_context != nullptr) ++options.ipm_context->analyses;
-    }
-    use_sparse = options.normal_eq == IpmNormalEq::kSparse ||
-                 factor->PatternDensity() <= options.sparse_density_threshold;
-    LUBT_LOG_DEBUG << "ipm normal equations: n=" << a.num_cols
-                   << " density=" << factor->PatternDensity()
-                   << " fill=" << factor->FillNnz()
-                   << (use_sparse ? " -> sparse" : " -> dense")
-                   << (symbolic_reused ? " (symbolic reused)" : "");
+  SparseNormalFactor& factor = options.ipm_context != nullptr
+                                   ? options.ipm_context->normal
+                                   : local_factor;
+  factor.SetMode(options.factor_mode, options.factor_jobs);
+  const bool symbolic_reused = factor.TryExtend(a);
+  if (symbolic_reused) {
+    if (options.ipm_context != nullptr) ++options.ipm_context->symbolic_reuses;
+  } else {
+    factor.Analyze(a);
+    if (options.ipm_context != nullptr) ++options.ipm_context->analyses;
   }
-  MehrotraSolver solver(a, model.Objective(), options, factor, use_sparse,
-                        use_sparse && symbolic_reused);
+  LUBT_LOG_DEBUG << "ipm normal equations: n=" << a.num_cols
+                 << " pattern=" << factor.PatternNnz()
+                 << " fill=" << factor.FillNnz()
+                 << (symbolic_reused ? " (symbolic reused)" : "");
+  MehrotraSolver solver(a, model.Objective(), options, factor,
+                        symbolic_reused);
   return solver.Run();
 }
 

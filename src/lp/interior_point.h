@@ -12,9 +12,8 @@
 // columns — for EBF that is the number of tree edges, independent of how
 // many of the Theta(m^2) Steiner rows are present. Rows are sparse (tree
 // paths) and the normal matrix has a fixed pattern across Newton
-// iterations, so large models run the sparse symbolic/numeric Cholesky
-// (lp/sparse_chol.h); small or dense models keep the historical dense
-// Cholesky, bit for bit (LpSolverOptions::normal_eq).
+// iterations, so every solve runs one symbolic analysis and then the sparse
+// numeric Cholesky (lp/sparse_chol.h) on it, whatever the model's size.
 
 #ifndef LUBT_LP_INTERIOR_POINT_H_
 #define LUBT_LP_INTERIOR_POINT_H_

@@ -145,16 +145,10 @@ enum class LpEngine {
 
 const char* LpEngineName(LpEngine engine);
 
-/// Which normal-equations path the interior-point engine factors.
-enum class IpmNormalEq {
-  kAuto,    ///< sparse when the model is large and the pattern sparse enough
-  kDense,   ///< always the dense Cholesky (bit-stable reference path)
-  kSparse,  ///< always the sparse symbolic/numeric Cholesky
-};
-
-/// Which numeric kernel the sparse normal-equations Cholesky runs. Both
-/// kernels share one symbolic analysis and produce the same factor to
-/// floating-point roundoff; the simplicial path stays as the scalar oracle.
+/// Which numeric kernel the interior point's sparse normal-equations
+/// Cholesky runs. Both kernels share one symbolic analysis and produce the
+/// same factor to floating-point roundoff; the simplicial path stays as the
+/// scalar oracle.
 enum class IpmFactorMode {
   kSupernodal,  ///< blocked panels + subtree-parallel schedule (default)
   kSimplicial,  ///< single-threaded column-at-a-time reference kernel
@@ -180,15 +174,7 @@ struct LpSolverOptions {
   int max_iterations = 0;   ///< 0 = engine default
   double tolerance = 1e-8;  ///< relative optimality / feasibility target
 
-  /// Interior point: which normal-equations factorization to run.
-  IpmNormalEq normal_eq = IpmNormalEq::kAuto;
-  /// kAuto stays dense below this column count (small models and unit tests
-  /// keep bit-identical results on the historical dense path).
-  int sparse_min_cols = 64;
-  /// kAuto stays dense when nnz(tril(A'A)) exceeds this fraction of a full
-  /// lower triangle (sparse bookkeeping loses to BLAS-free dense loops).
-  double sparse_density_threshold = 0.25;
-  /// Sparse path: numeric factorization kernel (see IpmFactorMode).
+  /// Interior point: numeric factorization kernel (see IpmFactorMode).
   IpmFactorMode factor_mode = IpmFactorMode::kSupernodal;
   /// Supernodal kernel: worker threads for independent elimination-tree
   /// subtrees. Results are bitwise identical at any worker count.
@@ -212,8 +198,7 @@ struct LpSolution {
   int iterations = 0;        ///< engine iterations spent
   double seconds = 0.0;      ///< wall-clock solve time
   int regularizations = 0;   ///< Cholesky diagonal-regularization retries
-  bool warm_started = false;   ///< engine consumed options.warm_start
-  bool sparse_normal = false;  ///< sparse normal-equations path ran
+  bool warm_started = false;     ///< engine consumed options.warm_start
   bool symbolic_reused = false;  ///< reused a cached symbolic factorization
   /// Interior point: ge-form duals at the returned point (CompiledLpModel
   /// row order), for warm-starting a follow-up solve. Empty for simplex.

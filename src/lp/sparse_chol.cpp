@@ -800,7 +800,8 @@ bool SparseNormalFactor::Factor(const CompiledLpModel& a,
   }
   LUBT_DCHECK(c == scatter_ptr_.back());
 
-  // Escalating diagonal regularization, mirroring the dense fallback.
+  // Escalating diagonal regularization: 1e-12 of the mean diagonal, then
+  // 1e4 times more per retry.
   attempts_ = 0;
   double reg = 0.0;
   const bool supernodal = mode_ == IpmFactorMode::kSupernodal;
@@ -1141,13 +1142,6 @@ void SparseNormalFactor::SolveSimplicial(std::span<double> b) const {
     b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(k)])] =
         y[static_cast<std::size_t>(k)];
   }
-}
-
-double SparseNormalFactor::PatternDensity() const {
-  if (n_ == 0) return 1.0;
-  const double total = 0.5 * static_cast<double>(n_) *
-                       (static_cast<double>(n_) + 1.0);
-  return static_cast<double>(up_row_.size()) / total;
 }
 
 }  // namespace lubt

@@ -77,8 +77,8 @@ class SparseNormalFactor {
   bool TryExtend(const CompiledLpModel& a);
 
   /// Assemble M = A' diag(row_weight) A + diag(diag) and factor it, retrying
-  /// with escalating diagonal regularization like the dense path. Returns
-  /// false if the matrix could not be factored even with regularization.
+  /// with escalating diagonal regularization. Returns false if the matrix
+  /// could not be factored even with regularization.
   bool Factor(const CompiledLpModel& a, std::span<const double> row_weight,
               std::span<const double> diag);
 
@@ -101,8 +101,6 @@ class SparseNormalFactor {
   std::int64_t PatternNnz() const {
     return analyzed() ? static_cast<std::int64_t>(up_row_.size()) : 0;
   }
-  /// PatternNnz over the full lower-triangle size, in [0, 1].
-  double PatternDensity() const;
   /// nnz of the Cholesky factor L (diagonal included).
   std::int64_t FillNnz() const {
     return analyzed() && !l_ptr_.empty() ? l_ptr_.back() : 0;

@@ -21,11 +21,9 @@ struct Cluster {
   // Cached nearest active neighbour (may be stale; refreshed lazily).
   int nn = -1;
   double nn_dist = kInf;
-  // Grid bookkeeping (kGrid only): cell index, region center in diagonal
-  // coordinates, and the larger per-axis half-extent.
+  // Grid bookkeeping (kGridSoa only): cell index and the larger per-axis
+  // half-extent of the region in diagonal coordinates.
   int cell = -1;
-  double cu = 0.0;
-  double cv = 0.0;
   double half = 0.0;
 };
 
@@ -47,8 +45,8 @@ void RefreshNnScan(std::vector<Cluster>& clusters, int c) {
   }
 }
 
-// Shared ring geometry of the two grid backends: cell indexing over
-// diagonal coordinates plus the Chebyshev ring walk. A ring at index
+// Ring geometry of the grid backend: cell indexing over diagonal
+// coordinates plus the Chebyshev ring walk. A ring at index
 // r >= 1 can only hold clusters whose region is at L1 distance
 // > (r-1)*cell - half(self) - max_half from the query region (cell
 // indexing is monotone in each axis even under clamping, and
@@ -97,7 +95,7 @@ class GridGeometry {
   }
 
   // Visit the cell indices of ring r around (iu, iv), clipped to the grid,
-  // in a fixed order shared by every backend.
+  // in a fixed order.
   template <typename Fn>
   void VisitRing(int iu, int iv, int r, Fn&& fn) const {
     if (r == 0) {
@@ -143,111 +141,13 @@ class GridGeometry {
   double max_half_ = 0.0;
 };
 
-// Grid bookkeeping shared by Insert of both backends: cache the region's
-// diagonal center and half-extent on the cluster and assign its cell.
-void PlaceInCell(GridGeometry& geo, Cluster& cl) {
-  cl.cu = cl.region.U().Center();
-  cl.cv = cl.region.V().Center();
-  cl.half = 0.5 * std::max(cl.region.U().Length(), cl.region.V().Length());
-  geo.NoteHalf(cl.half);
-  cl.cell = geo.CellOf(cl.cu, cl.cv);
-}
-
 // Uniform grid over diagonal coordinates holding exactly the active
-// clusters, one int bucket per cell. Ties at equal distance fall to the
-// smallest cluster index, bitwise matching the scan backend.
-class ClusterGrid {
- public:
-  void Init(std::span<const Point> sinks) {
-    geo_.Init(sinks);
-    cells_.assign(static_cast<std::size_t>(geo_.NumCells()), {});
-  }
-
-  void Insert(std::vector<Cluster>& clusters, int idx) {
-    Cluster& cl = clusters[static_cast<std::size_t>(idx)];
-    PlaceInCell(geo_, cl);
-    cells_[static_cast<std::size_t>(cl.cell)].push_back(idx);
-  }
-
-  void Remove(std::vector<Cluster>& clusters, int idx) {
-    Cluster& cl = clusters[static_cast<std::size_t>(idx)];
-    std::vector<int>& bucket = cells_[static_cast<std::size_t>(cl.cell)];
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      if (bucket[k] == idx) {
-        bucket[k] = bucket.back();
-        bucket.pop_back();
-        break;
-      }
-    }
-    cl.cell = -1;
-  }
-
-  // Grid-backed equivalent of RefreshNnScan.
-  void Refresh(std::vector<Cluster>& clusters, int c) const {
-    Cluster& self = clusters[static_cast<std::size_t>(c)];
-    self.nn = -1;
-    self.nn_dist = kInf;
-    const int iu = self.cell / geo_.g();
-    const int iv = self.cell % geo_.g();
-    const int rmax = geo_.MaxRing(iu, iv);
-    for (int r = 0; r <= rmax; ++r) {
-      if (self.nn >= 0 &&
-          geo_.RingLowerBound(r, self.half) > self.nn_dist) {
-        break;
-      }
-      geo_.VisitRing(iu, iv, r, [&](std::size_t cell) {
-        for (const int j : cells_[cell]) {
-          if (j == c) continue;
-          const double d = TrrDist(
-              self.region, clusters[static_cast<std::size_t>(j)].region);
-          if (d < self.nn_dist || (d == self.nn_dist && j < self.nn)) {
-            self.nn_dist = d;
-            self.nn = j;
-          }
-        }
-      });
-    }
-  }
-
-  // One-sided newcomer update: offer cluster `nid` as a nearer neighbour to
-  // every active cluster whose cached distance it beats. Any cluster with an
-  // improvable cache has nn_dist <= dmax (the selection pass's maximum), so
-  // rings whose lower bound exceeds dmax cannot produce an update.
-  void OfferNewcomer(std::vector<Cluster>& clusters, int nid,
-                     double dmax) const {
-    const Cluster& next = clusters[static_cast<std::size_t>(nid)];
-    const int iu = next.cell / geo_.g();
-    const int iv = next.cell % geo_.g();
-    const int rmax = geo_.MaxRing(iu, iv);
-    for (int r = 0; r <= rmax; ++r) {
-      if (geo_.RingLowerBound(r, next.half) > dmax) break;
-      geo_.VisitRing(iu, iv, r, [&](std::size_t cell) {
-        for (const int j : cells_[cell]) {
-          if (j == nid) continue;
-          Cluster& cl = clusters[static_cast<std::size_t>(j)];
-          const double d = TrrDist(cl.region, next.region);
-          if (d < cl.nn_dist) {
-            cl.nn_dist = d;
-            cl.nn = nid;
-          }
-        }
-      });
-    }
-  }
-
- private:
-  GridGeometry geo_;
-  std::vector<std::vector<int>> cells_;
-};
-
-// Lane-major variant of ClusterGrid: each cell stores the resident
-// clusters' diagonal region bounds in five parallel arrays, so the
-// candidate scan is a branch-free TrrDistRaw reduction over contiguous
-// doubles (the AoS grid chases a pointer into Cluster::region per
-// candidate). Region bounds are copied at insert time and regions are
-// immutable while resident, so the lanes always equal the AoS values and
-// both grids visit identical candidates with identical distances — the
-// produced topology is bitwise the same.
+// clusters. Each cell stores the resident clusters' diagonal region bounds
+// in parallel arrays, so the candidate scan is a branch-free TrrDistRaw
+// reduction over contiguous doubles. Region bounds are copied at insert
+// time and regions are immutable while resident. Ties at equal distance
+// fall to the smallest cluster index, so the produced topology is bitwise
+// the scan backend's.
 class ClusterGridSoa {
  public:
   void Init(std::span<const Point> sinks) {
@@ -257,7 +157,9 @@ class ClusterGridSoa {
 
   void Insert(std::vector<Cluster>& clusters, int idx) {
     Cluster& cl = clusters[static_cast<std::size_t>(idx)];
-    PlaceInCell(geo_, cl);
+    cl.half = 0.5 * std::max(cl.region.U().Length(), cl.region.V().Length());
+    geo_.NoteHalf(cl.half);
+    cl.cell = geo_.CellOf(cl.region.U().Center(), cl.region.V().Center());
     Cell& cell = cells_[static_cast<std::size_t>(cl.cell)];
     cell.idx.push_back(idx);
     cell.u_lo.push_back(cl.region.U().lo);
@@ -278,7 +180,8 @@ class ClusterGridSoa {
     cl.cell = -1;
   }
 
-  // Grid-backed equivalent of RefreshNnScan; see ClusterGrid::Refresh.
+  // Grid-backed equivalent of RefreshNnScan: walk rings outward from the
+  // cluster's cell until the ring lower bound exceeds the best candidate.
   void Refresh(std::vector<Cluster>& clusters, int c) const {
     Cluster& self = clusters[static_cast<std::size_t>(c)];
     self.nn = -1;
@@ -312,7 +215,10 @@ class ClusterGridSoa {
     }
   }
 
-  // See ClusterGrid::OfferNewcomer.
+  // One-sided newcomer update: offer cluster `nid` as a nearer neighbour to
+  // every active cluster whose cached distance it beats. Any cluster with an
+  // improvable cache has nn_dist <= dmax (the selection pass's maximum), so
+  // rings whose lower bound exceeds dmax cannot produce an update.
   void OfferNewcomer(std::vector<Cluster>& clusters, int nid,
                      double dmax) const {
     const Cluster& next = clusters[static_cast<std::size_t>(nid)];
@@ -330,8 +236,7 @@ class ClusterGridSoa {
         for (std::size_t k = 0; k < cell.idx.size(); ++k) {
           const int j = cell.idx[k];
           if (j == nid) continue;
-          // TrrDist is symmetric term-by-term under the per-axis gap max,
-          // so lane-first argument order matches the AoS TrrDist(cl, next).
+          // Lane-first argument order, as the scan's TrrDist(cl, next).
           const double d =
               TrrDistRaw(cell.u_lo[k], cell.u_hi[k], cell.v_lo[k],
                          cell.v_hi[k], nu_lo, nu_hi, nv_lo, nv_hi);
@@ -374,8 +279,6 @@ const char* NnMergeAccelName(NnMergeAccel accel) {
   switch (accel) {
     case NnMergeAccel::kGridSoa:
       return "grid-soa";
-    case NnMergeAccel::kGrid:
-      return "grid";
     case NnMergeAccel::kScan:
       return "scan";
   }
@@ -386,17 +289,11 @@ Topology NnMergeTopology(std::span<const Point> sinks,
                          const std::optional<Point>& source,
                          NnMergeAccel accel) {
   LUBT_ASSERT(!sinks.empty());
-  const bool use_soa = accel == NnMergeAccel::kGridSoa;
-  const bool use_grid = use_soa || accel == NnMergeAccel::kGrid;
+  const bool use_grid = accel == NnMergeAccel::kGridSoa;
   Topology topo;
 
-  ClusterGrid grid;
-  ClusterGridSoa grid_soa;
-  if (use_soa) {
-    grid_soa.Init(sinks);
-  } else if (use_grid) {
-    grid.Init(sinks);
-  }
+  ClusterGridSoa grid;
+  if (use_grid) grid.Init(sinks);
   std::vector<Cluster> clusters;
   clusters.reserve(2 * sinks.size());
   for (std::size_t s = 0; s < sinks.size(); ++s) {
@@ -405,19 +302,11 @@ Topology NnMergeTopology(std::span<const Point> sinks,
     c.region = Trr::FromPoint(sinks[s]);
     c.active = true;
     clusters.push_back(c);
-    if (use_grid) {
-      if (use_soa) {
-        grid_soa.Insert(clusters, static_cast<int>(clusters.size()) - 1);
-      } else {
-        grid.Insert(clusters, static_cast<int>(clusters.size()) - 1);
-      }
-    }
+    if (use_grid) grid.Insert(clusters, static_cast<int>(clusters.size()) - 1);
   }
 
   const auto refresh = [&](int c) {
-    if (use_soa) {
-      grid_soa.Refresh(clusters, c);
-    } else if (use_grid) {
+    if (use_grid) {
       grid.Refresh(clusters, c);
     } else {
       RefreshNnScan(clusters, c);
@@ -468,21 +357,15 @@ Topology NnMergeTopology(std::span<const Point> sinks,
     clusters[static_cast<std::size_t>(b)].active = false;
     clusters.push_back(next);
     const int nid = static_cast<int>(clusters.size()) - 1;
-    if (use_soa) {
-      grid_soa.Remove(clusters, a);
-      grid_soa.Remove(clusters, b);
-      grid_soa.Insert(clusters, nid);
-    } else if (use_grid) {
+    if (use_grid) {
       grid.Remove(clusters, a);
       grid.Remove(clusters, b);
       grid.Insert(clusters, nid);
     }
     refresh(nid);
     // Let existing clusters see the newcomer (one-sided update; the grid
-    // backends prune rings past dmax, the scan backend visits everyone).
-    if (use_soa) {
-      grid_soa.OfferNewcomer(clusters, nid, dmax);
-    } else if (use_grid) {
+    // prunes rings past dmax, the scan visits everyone).
+    if (use_grid) {
       grid.OfferNewcomer(clusters, nid, dmax);
     } else {
       for (int c = 0; c < nid; ++c) {

@@ -8,16 +8,15 @@
 // as in DME: merging two regions at L1 distance d yields the intersection of
 // the regions inflated by d/2 each.
 //
-// Three search backends produce the *identical* topology (node ids,
-// children order, everything): the historical all-pairs rescan, a uniform
-// grid over diagonal coordinates that answers nearest-region queries by
-// expanding cell rings (pruning a ring as soon as its distance lower bound
-// exceeds the best candidate), and a structure-of-arrays variant of that
-// grid whose cells store the cluster regions' diagonal bounds in parallel
-// double lanes, so the per-cell candidate scan is a branch-free TrrDistRaw
-// reduction over contiguous arrays. kGridSoa is the default; kGrid and
-// kScan are kept as cross-check references (tests/topo_test.cpp gates on
-// exact agreement).
+// Two search backends produce the *identical* topology (node ids, children
+// order, everything). kGridSoa, the default, is a uniform grid over
+// diagonal coordinates that answers nearest-region queries by expanding
+// cell rings (pruning a ring as soon as its distance lower bound exceeds
+// the best candidate); its cells store the cluster regions' diagonal bounds
+// in parallel double lanes, so the per-cell candidate scan is a branch-free
+// TrrDistRaw reduction over contiguous arrays. kScan, the historical
+// all-pairs rescan, is kept as the cross-check reference
+// (tests/separation_test.cpp gates on exact agreement).
 
 #ifndef LUBT_TOPO_NN_MERGE_H_
 #define LUBT_TOPO_NN_MERGE_H_
@@ -30,10 +29,10 @@
 
 namespace lubt {
 
-/// Which nearest-neighbour search backs the merge loop. All produce the
-/// same tree; kScan is the O(n^2)-rescan reference, kGrid the original
-/// struct-per-cluster grid, kGridSoa the lane-major grid.
-enum class NnMergeAccel { kGridSoa, kGrid, kScan };
+/// Which nearest-neighbour search backs the merge loop. Both produce the
+/// same tree; kGridSoa is the lane-major grid, kScan the O(n^2)-rescan
+/// reference.
+enum class NnMergeAccel { kGridSoa, kScan };
 
 const char* NnMergeAccelName(NnMergeAccel accel);
 

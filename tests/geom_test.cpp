@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -249,10 +251,10 @@ TEST(BBoxTest, EmptyAndInflate) {
 
 // ---- SoA kernel forms ------------------------------------------------------
 //
-// TrrDistRaw and OctantSoa are the lane-layout forms consumed by the SoA
-// NN-merge grid and the SoA separation oracle. Their contract is bitwise
-// equality with the object forms (TrrDist / OctantMax) — not approximate
-// agreement — because the oracle comparisons in the bench gates use ==.
+// TrrDistRaw is the lane-layout form of TrrDist consumed by the NN-merge
+// grid; its contract is bitwise equality with TrrDist, not approximate
+// agreement, because the topology comparisons use ==. OctantSoa is checked
+// against a brute-force max over the point pairs it aggregates.
 
 double RawDist(const Trr& a, const Trr& b) {
   return TrrDistRaw(a.U().lo, a.U().hi, a.V().lo, a.V().hi, b.U().lo,
@@ -303,13 +305,48 @@ TEST(TrrDistRawTest, DegenerateRegions) {
   EXPECT_EQ(RawDist(s1, s3), 0.0);
 }
 
-TEST(OctantSoaTest, MirrorsAosAggregatesBitwise) {
-  // Drive an AoS array and an SoA store through the same random op stream
-  // (Include / Merge / CopyFrom) and require every lane, cross bound, and
-  // Empty flag to stay bitwise identical.
+// A point with its additive offset, as folded into an OctantSoa slot.
+struct Weighted {
+  Point p;
+  double offset;
+};
+
+// max over p in A, q in B of dist(p, q) + offset(p) + offset(q), restricted
+// to pairs with a dirty endpoint when `dirty_a` / `dirty_b` are given; -inf
+// when no pair qualifies.
+double BrutePairMax(const std::vector<Weighted>& a,
+                    const std::vector<Weighted>& b,
+                    const std::vector<bool>* dirty_a = nullptr,
+                    const std::vector<bool>* dirty_b = nullptr) {
+  double best = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      if (dirty_a != nullptr && !(*dirty_a)[i] && !(*dirty_b)[j]) continue;
+      best = std::max(best, ManhattanDist(a[i].p, b[j].p) + a[i].offset +
+                                b[j].offset);
+    }
+  }
+  return best;
+}
+
+// The octant bound sums the same terms in another order, so it may differ
+// from the brute-force max by a few ulps of the operands.
+void ExpectBoundNear(double want, double got) {
+  if (std::isinf(want)) {
+    EXPECT_EQ(want, got);
+    return;
+  }
+  EXPECT_NEAR(want, got, 1e-12 * (1.0 + std::abs(want)));
+}
+
+TEST(OctantSoaTest, CrossBoundMatchesBrutePairMax) {
+  // Drive per-slot point lists and an SoA store through the same random op
+  // stream (Include / Merge), then require every cross bound — within one
+  // store and against a CopyFrom-permuted store — and every Empty flag to
+  // match the brute-force pair maximum.
   Rng rng(107);
   constexpr std::size_t kSlots = 48;
-  std::vector<OctantMax> aos(kSlots);
+  std::vector<std::vector<Weighted>> sets(kSlots);
   OctantSoa soa;
   soa.Assign(kSlots);
   ASSERT_EQ(soa.size(), kSlots);
@@ -322,10 +359,10 @@ TEST(OctantSoaTest, MirrorsAosAggregatesBitwise) {
     if (pick < 0.6) {
       const Point p{rng.Uniform(-30, 30), rng.Uniform(-30, 30)};
       const double offset = rng.Uniform(-5, 5);
-      aos[i].Include(p, offset);
+      sets[i].push_back({p, offset});
       soa.Include(i, p, offset);
-    } else {
-      aos[i].Merge(aos[j]);
+    } else if (i != j) {
+      sets[i].insert(sets[i].end(), sets[j].begin(), sets[j].end());
       soa.Merge(i, j);
     }
   }
@@ -334,25 +371,25 @@ TEST(OctantSoaTest, MirrorsAosAggregatesBitwise) {
   copy.Assign(kSlots);
   for (std::size_t i = 0; i < kSlots; ++i) {
     copy.CopyFrom(i, soa, kSlots - 1 - i);
-    EXPECT_EQ(soa.Empty(i), aos[i].Empty());
+    EXPECT_EQ(soa.Empty(i), sets[i].empty());
   }
   for (std::size_t a = 0; a < kSlots; ++a) {
     for (std::size_t b = 0; b < kSlots; ++b) {
-      const double want = OctantMax::CrossBound(aos[a], aos[b]);
-      EXPECT_EQ(want, OctantSoa::CrossBound(soa, a, soa, b));
-      EXPECT_EQ(want,
-                OctantSoa::CrossBound(soa, a, copy, kSlots - 1 - b));
+      const double want = BrutePairMax(sets[a], sets[b]);
+      const double got = OctantSoa::CrossBound(soa, a, soa, b);
+      ExpectBoundNear(want, got);
+      EXPECT_EQ(got, OctantSoa::CrossBound(soa, a, copy, kSlots - 1 - b));
     }
   }
 }
 
-TEST(OctantSoaTest, CrossBoundDirtyMatchesAosScreen) {
-  // Parallel "all"/"dirty" stores, dirty a strict subset: the SoA dirty
-  // screen must equal the AoS four-aggregate form pair for pair.
+TEST(OctantSoaTest, CrossBoundDirtyMatchesBruteScreen) {
+  // Parallel "all"/"dirty" stores, dirty a strict subset: the dirty screen
+  // must equal the brute-force max over pairs with a dirty endpoint.
   Rng rng(109);
   constexpr std::size_t kSlots = 24;
-  std::vector<OctantMax> all_aos(kSlots);
-  std::vector<OctantMax> dirty_aos(kSlots);
+  std::vector<std::vector<Weighted>> sets(kSlots);
+  std::vector<std::vector<bool>> flags(kSlots);
   OctantSoa all;
   OctantSoa dirty;
   all.Assign(kSlots);
@@ -363,25 +400,23 @@ TEST(OctantSoaTest, CrossBoundDirtyMatchesAosScreen) {
     for (int t = 0; t < pts; ++t) {
       const Point p{rng.Uniform(-20, 20), rng.Uniform(-20, 20)};
       const double offset = rng.Uniform(-3, 3);
-      all_aos[i].Include(p, offset);
+      const bool is_dirty = rng.Uniform(0.0, 1.0) < 0.4;
+      sets[i].push_back({p, offset});
+      flags[i].push_back(is_dirty);
       all.Include(i, p, offset);
-      if (rng.Uniform(0.0, 1.0) < 0.4) {
-        dirty_aos[i].Include(p, offset);
-        dirty.Include(i, p, offset);
-      }
+      if (is_dirty) dirty.Include(i, p, offset);
     }
   }
 
   for (std::size_t a = 0; a < kSlots; ++a) {
     for (std::size_t b = 0; b < kSlots; ++b) {
-      EXPECT_EQ(OctantMax::CrossBoundDirty(all_aos[a], dirty_aos[a],
-                                           all_aos[b], dirty_aos[b]),
-                OctantSoa::CrossBoundDirty(all, dirty, a, b));
+      ExpectBoundNear(BrutePairMax(sets[a], sets[b], &flags[a], &flags[b]),
+                      OctantSoa::CrossBoundDirty(all, dirty, a, b));
     }
   }
 
-  // Empty dirty side: the screen collapses to -inf exactly like the AoS
-  // form (no pair has a dirty endpoint).
+  // Empty dirty side: the screen collapses to -inf exactly (no pair has a
+  // dirty endpoint).
   OctantSoa clean;
   clean.Assign(kSlots);
   EXPECT_EQ(OctantSoa::CrossBoundDirty(all, clean, 0, 1),

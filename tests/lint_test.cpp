@@ -431,9 +431,9 @@ TEST(HotLoopAlloc, CallSitesColdFunctionsAndOtherDirsClean) {
   // Calls to hot-named members are uses, not definitions.
   const auto calls =
       Lint("src/lp/interior_point.cpp",
-           "void F(SparseNormalFactor& f, OctantMax& agg, OctantMax& o) {\n"
+           "void F(SparseNormalFactor& f, OctantSoa& agg) {\n"
            "  f.Ereach(3);\n"
-           "  agg.Merge(o);\n"
+           "  agg.Merge(0, 1);\n"
            "}\n");
   EXPECT_EQ(CountRule(calls, "hot-loop-alloc"), 0);
 

@@ -337,56 +337,52 @@ LpModel RandomBandedModel(Rng& rng, int n, int rows) {
   return m;
 }
 
-LpSolverOptions IpmWith(IpmNormalEq ne) {
-  LpSolverOptions o;
-  o.engine = LpEngine::kInteriorPoint;
-  o.normal_eq = ne;
-  return o;
-}
-
+// The interior point factors its normal equations sparse on every model;
+// the dense-tableau simplex is the independent oracle it must match.
 class SparseNormalTest : public ::testing::TestWithParam<int> {};
+
+void ExpectIpmMatchesSimplex(const LpModel& m) {
+  const LpSolution ipm = SolveLp(m, Ipm());
+  const LpSolution simplex = SolveLp(m, Simplex());
+  ASSERT_TRUE(ipm.ok()) << ipm.status;
+  ASSERT_TRUE(simplex.ok()) << simplex.status;
+  EXPECT_NEAR(ipm.objective, simplex.objective,
+              1e-6 * (1.0 + std::abs(simplex.objective)));
+  EXPECT_LE(m.MaxInfeasibility(ipm.x), 1e-6);
+  EXPECT_LE(m.MaxInfeasibility(simplex.x), 1e-6);
+}
 
 TEST_P(SparseNormalTest, SparseMatchesDenseOnBandedModels) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   const int n = 64 + static_cast<int>(rng.UniformInt(64));
-  LpModel m = RandomBandedModel(rng, n, 3 * n);
-  const LpSolution dense = SolveLp(m, IpmWith(IpmNormalEq::kDense));
-  const LpSolution sparse = SolveLp(m, IpmWith(IpmNormalEq::kSparse));
-  ASSERT_TRUE(dense.ok()) << dense.status;
-  ASSERT_TRUE(sparse.ok()) << sparse.status;
-  EXPECT_FALSE(dense.sparse_normal);
-  EXPECT_TRUE(sparse.sparse_normal);
-  EXPECT_NEAR(dense.objective, sparse.objective,
-              1e-6 * (1.0 + std::abs(dense.objective)));
-  EXPECT_LE(m.MaxInfeasibility(dense.x), 1e-6);
-  EXPECT_LE(m.MaxInfeasibility(sparse.x), 1e-6);
+  ExpectIpmMatchesSimplex(RandomBandedModel(rng, n, 3 * n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseNormalTest, ::testing::Range(1, 9));
 
-TEST(SparseNormalTest, AutoPicksDenseForSmallAndSparseForBanded) {
-  const LpSolution small = SolveLp(TinyModel(), IpmWith(IpmNormalEq::kAuto));
-  ASSERT_TRUE(small.ok()) << small.status;
-  EXPECT_FALSE(small.sparse_normal);
-
-  Rng rng(17);
-  LpModel banded = RandomBandedModel(rng, 128, 256);
-  const LpSolution big = SolveLp(banded, IpmWith(IpmNormalEq::kAuto));
-  ASSERT_TRUE(big.ok()) << big.status;
-  EXPECT_TRUE(big.sparse_normal);
+TEST(SparseNormalTest, TinyModelsMatchSimplex) {
+  // The smallest shapes the sparse factor sees: 2 columns, and 1 column
+  // with a ranged row.
+  ExpectIpmMatchesSimplex(TinyModel());
+  LpModel one(1);
+  one.SetObjective(0, 2.0);
+  one.AddRow(std::vector<std::int32_t>{0}, std::vector<double>{1.0}, 1.5,
+             4.0);
+  ExpectIpmMatchesSimplex(one);
+  EXPECT_NEAR(SolveLp(one, Ipm()).objective, 3.0, 1e-6);
 }
 
 TEST(WarmStartTest, WarmResolveMatchesColdAndSavesIterations) {
   Rng rng(23);
   LpModel m = RandomBandedModel(rng, 96, 300);
-  const LpSolution cold = SolveLp(m, IpmWith(IpmNormalEq::kAuto));
+  const LpSolution cold = SolveLp(m, Ipm());
   ASSERT_TRUE(cold.ok()) << cold.status;
   ASSERT_EQ(cold.ge_dual.size(), m.Compiled().rhs.size());
 
   LpWarmStart warm;
   warm.x = cold.x;
   warm.ge_dual = cold.ge_dual;
-  LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+  LpSolverOptions o = Ipm();
   o.warm_start = &warm;
   const LpSolution hot = SolveLp(m, o);
   ASSERT_TRUE(hot.ok()) << hot.status;
@@ -400,7 +396,7 @@ TEST(WarmStartTest, SizeMismatchedWarmStartIsIgnored) {
   LpModel m = TinyModel();
   LpWarmStart warm;
   warm.x = {1.0};  // wrong size: model has 2 columns
-  LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+  LpSolverOptions o = Ipm();
   o.warm_start = &warm;
   const LpSolution s = SolveLp(m, o);
   ASSERT_TRUE(s.ok()) << s.status;
@@ -412,7 +408,7 @@ TEST(SymbolicReuseTest, AppendedRowsInsidePatternReuseTheAnalysis) {
   Rng rng(31);
   LpModel m = RandomBandedModel(rng, 80, 240);
   IpmContext ctx;
-  LpSolverOptions o = IpmWith(IpmNormalEq::kSparse);
+  LpSolverOptions o = Ipm();
   o.ipm_context = &ctx;
   const LpSolution first = SolveLp(m, o);
   ASSERT_TRUE(first.ok()) << first.status;
@@ -607,13 +603,12 @@ TEST(SupernodalFactorTest, PatternPreservingAppendKeepsModesEquivalent) {
 
 TEST(SupernodalFactorTest, EngineObjectiveMatchesAcrossModes) {
   // End to end through the interior-point engine: overriding the factor
-  // mode must not move the optimum, and the dense small-model fallback
-  // (kAuto) must ignore the mode entirely.
+  // mode must not move the optimum.
   Rng rng(91);
   LpModel m = RandomBandedModel(rng, 120, 360);
-  LpSolverOptions simp = IpmWith(IpmNormalEq::kSparse);
+  LpSolverOptions simp = Ipm();
   simp.factor_mode = IpmFactorMode::kSimplicial;
-  LpSolverOptions sup = IpmWith(IpmNormalEq::kSparse);
+  LpSolverOptions sup = Ipm();
   sup.factor_mode = IpmFactorMode::kSupernodal;
   sup.factor_jobs = 2;
   const LpSolution a = SolveLp(m, simp);
@@ -621,13 +616,6 @@ TEST(SupernodalFactorTest, EngineObjectiveMatchesAcrossModes) {
   ASSERT_TRUE(a.ok()) << a.status;
   ASSERT_TRUE(b.ok()) << b.status;
   EXPECT_NEAR(a.objective, b.objective, 1e-6 * (1.0 + std::abs(a.objective)));
-
-  LpSolverOptions tiny = IpmWith(IpmNormalEq::kAuto);
-  tiny.factor_mode = IpmFactorMode::kSupernodal;
-  const LpSolution small = SolveLp(TinyModel(), tiny);
-  ASSERT_TRUE(small.ok()) << small.status;
-  EXPECT_FALSE(small.sparse_normal);
-  EXPECT_NEAR(small.objective, 2.0, 1e-6);
 }
 
 TEST(LazyRowTest, WarmLazyRoundsMatchColdOnInteriorPoint) {
@@ -654,7 +642,7 @@ TEST(LazyRowTest, WarmLazyRoundsMatchColdOnInteriorPoint) {
       lazy.SetObjective(c, full.Objective()[static_cast<std::size_t>(c)]);
     }
     for (int r = 0; r < seed_rows; ++r) lazy.AddRow(full.Row(r));
-    LpSolverOptions o = IpmWith(IpmNormalEq::kAuto);
+    LpSolverOptions o = Ipm();
     o.warm_start_lazy_rounds = warm;
     sol[warm ? 1 : 0] =
         SolveWithLazyRows(lazy, oracle, o, 50, &stats[warm ? 1 : 0]);

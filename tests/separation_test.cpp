@@ -73,19 +73,14 @@ void ExpectSameRows(const std::vector<SparseRow>& a,
   }
 }
 
-// Query all three modes on the same iterate and demand bitwise-equal
-// sequences (the SoA oracle rides the same screening order as the AoS one;
-// see geom/octant.h).
+// Query both modes on the same iterate and demand bitwise-equal sequences.
 void CrossCheck(const EbfFormulation& f, std::span<const double> x,
                 double tol, int max_rows) {
-  const SeparationOptions octant{SeparationMode::kOctant, 1};
-  const SeparationOptions soa{SeparationMode::kOctantSoa, 1};
+  const SeparationOptions octant{SeparationMode::kOctantSoa, 1};
   const SeparationOptions brute{SeparationMode::kBruteForce, 1};
   const auto fast = f.FindViolatedSteinerRows(x, tol, max_rows, octant);
   const auto ref = f.FindViolatedSteinerRows(x, tol, max_rows, brute);
   ExpectSameRows(fast, ref);
-  const auto lanes = f.FindViolatedSteinerRows(x, tol, max_rows, soa);
-  ExpectSameRows(lanes, ref);
 }
 
 class OracleAgreementTest
@@ -156,14 +151,11 @@ TEST(OracleAgreementTest, WorkerCountDoesNotChangeResults) {
   Rng rng(7);
   for (int rep = 0; rep < 3; ++rep) {
     const std::vector<double> x = RandomPoint(built->Model().NumCols(), rng);
-    for (const SeparationMode mode :
-         {SeparationMode::kOctant, SeparationMode::kOctantSoa}) {
-      const auto serial =
-          built->FindViolatedSteinerRows(x, 1e-7, 1 << 20, {mode, 1});
-      const auto parallel =
-          built->FindViolatedSteinerRows(x, 1e-7, 1 << 20, {mode, 4});
-      ExpectSameRows(serial, parallel);
-    }
+    const auto serial = built->FindViolatedSteinerRows(
+        x, 1e-7, 1 << 20, {SeparationMode::kOctantSoa, 1});
+    const auto parallel = built->FindViolatedSteinerRows(
+        x, 1e-7, 1 << 20, {SeparationMode::kOctantSoa, 4});
+    ExpectSameRows(serial, parallel);
   }
 }
 
@@ -175,7 +167,7 @@ TEST(OracleAgreementTest, LazySolveIsOracleInvariant) {
     const Instance inst =
         BuildInstance(60, 1234, with_source, /*clustered=*/false);
     EbfSolveOptions octant;
-    octant.separation = SeparationMode::kOctant;
+    octant.separation = SeparationMode::kOctantSoa;
     EbfSolveOptions brute;
     brute.separation = SeparationMode::kBruteForce;
     const EbfSolveResult a = SolveEbf(inst.problem, octant);
@@ -213,13 +205,10 @@ TEST(NnMergeAccelTest, GridMatchesScanNodeForNode) {
             n, 0xabcdef12u + static_cast<std::uint64_t>(n), with_source,
             clustered, /*duplicates=*/n >= 17 ? 5 : 0);
         const Topology grid =
-            NnMergeTopology(set.sinks, set.source, NnMergeAccel::kGrid);
+            NnMergeTopology(set.sinks, set.source, NnMergeAccel::kGridSoa);
         const Topology scan =
             NnMergeTopology(set.sinks, set.source, NnMergeAccel::kScan);
         ExpectSameTopology(grid, scan);
-        const Topology soa =
-            NnMergeTopology(set.sinks, set.source, NnMergeAccel::kGridSoa);
-        ExpectSameTopology(soa, scan);
       }
     }
   }
@@ -236,11 +225,10 @@ TEST(NnMergeAccelTest, GridHandlesDegenerateGeometry) {
     for (const bool with_source : {true, false}) {
       const std::optional<Point> src =
           with_source ? std::optional<Point>(Point{0.0, 0.0}) : std::nullopt;
-      const Topology grid = NnMergeTopology(sinks, src, NnMergeAccel::kGrid);
+      const Topology grid =
+          NnMergeTopology(sinks, src, NnMergeAccel::kGridSoa);
       const Topology scan = NnMergeTopology(sinks, src, NnMergeAccel::kScan);
       ExpectSameTopology(grid, scan);
-      const Topology soa = NnMergeTopology(sinks, src, NnMergeAccel::kGridSoa);
-      ExpectSameTopology(soa, scan);
     }
   }
 }

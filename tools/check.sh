@@ -94,12 +94,12 @@ for preset in "${presets[@]}"; do
     fi
   fi
 
-  # Engine agreement gates: lp_scaling --smoke solves fixed instances under
-  # all four normal-equation x warm-start variants and fails on any
-  # objective disagreement; separation_scaling --smoke additionally demands
-  # the octant separation oracle return bitwise-identical rows to the
-  # brute-force scan (serial and threaded) and the grid NN-merge match the
-  # scan backend node for node; eco_scaling --smoke replays fixed edit
+  # Engine agreement gates: lp_scaling --smoke solves fixed instances with
+  # cold and warm-started lazy rounds and fails on any objective
+  # disagreement; separation_scaling --smoke additionally demands the
+  # octant SoA separation oracle return bitwise-identical rows to the
+  # brute-force scan (serial and threaded) and the grid-soa NN-merge match
+  # the scan backend node for node; eco_scaling --smoke replays fixed edit
   # streams and fails unless every incremental re-solve matches a cold
   # solve of the edited instance. Skipped for tsan (single-threaded here;
   # the slow tsan build is reserved for the concurrency slice above, whose
@@ -121,10 +121,10 @@ for preset in "${presets[@]}"; do
     # not timings). lp_scaling --kernel refactors the 4096/16384-sink
     # normal equations supernodal vs simplicial and enforces the
     # hardware-aware speedup floor plus Solve() equivalence;
-    # separation_scaling --big runs the sampled 16k protocol (SoA vs AoS vs
-    # round-0 brute force, grid-soa vs grid topology) with bitwise row
-    # agreement and its own speedup floors. BIG_SINKS overrides the
-    # separation size (e.g. 4096 for a quick local loop).
+    # separation_scaling --big runs the sampled 16k protocol (SoA vs
+    # round-0 brute force) with bitwise row agreement and its own speedup
+    # floor. BIG_SINKS overrides the separation size (e.g. 4096 for a quick
+    # local loop).
     echo "==== [$preset] lp_scaling --kernel (16k factor gate) ===="
     if ! "./build-$preset/bench/lp_scaling" --kernel \
          > "/tmp/lubt-check-$preset-lp-kernel.log" 2>&1; then

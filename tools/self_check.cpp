@@ -126,20 +126,16 @@ CaseConfig DrawCase(std::uint64_t seed, int min_sinks, int max_sinks) {
     c.options.strategy = EbfStrategy::kLazy;
   }
   c.options.use_zero_skew_fast_path = rng.Bernoulli(0.7);
-  // Mostly the SoA octant oracle (the default), with AoS-octant and
-  // brute-force slices so the sanitizers keep covering the reference
-  // paths too. Same three-way split for the NN-merge backend, and a
+  // Mostly the SoA octant oracle (the default), with a brute-force slice so
+  // the sanitizers keep covering the reference path too. Same two-way split
+  // for the NN-merge backend (grid SoA vs scan), and a
   // supernodal-vs-simplicial (x factor-jobs) draw for the interior-point
   // Cholesky — all of these are bitwise-equivalence contracts, so any
   // divergence shows up as a validator or cross-check failure downstream.
-  const double sep_draw = rng.Uniform();
-  c.options.separation = sep_draw < 0.15   ? SeparationMode::kBruteForce
-                         : sep_draw < 0.40 ? SeparationMode::kOctant
-                                           : SeparationMode::kOctantSoa;
-  const double accel_draw = rng.Uniform();
-  c.nn_accel = accel_draw < 0.15   ? NnMergeAccel::kScan
-               : accel_draw < 0.40 ? NnMergeAccel::kGrid
-                                   : NnMergeAccel::kGridSoa;
+  c.options.separation = rng.Uniform() < 0.25 ? SeparationMode::kBruteForce
+                                              : SeparationMode::kOctantSoa;
+  c.nn_accel = rng.Uniform() < 0.25 ? NnMergeAccel::kScan
+                                    : NnMergeAccel::kGridSoa;
   c.options.lp.factor_mode = rng.Bernoulli(0.3) ? IpmFactorMode::kSimplicial
                                                 : IpmFactorMode::kSupernodal;
   c.options.lp.factor_jobs = rng.Bernoulli(0.3) ? 2 : 1;
