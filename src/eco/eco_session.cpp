@@ -6,6 +6,7 @@
 
 #include "check/invariants.h"
 #include "cts/metrics.h"
+#include "lp/lazy_row_solver.h"
 #include "topo/nn_merge.h"
 #include "topo/validate.h"
 #include "util/logging.h"
@@ -20,6 +21,23 @@ namespace {
 // optimum too, so editing its bounds within the still-slack region cannot
 // move the optimum: the solution is reused without a solve.
 constexpr double kNoOpSlackMargin = 1e-5;
+
+// Warm primal in LP units from edge lengths in layout units indexed by node
+// id: negative lengths clamp to zero, nodes past the end of `edge_len` start
+// at zero.
+std::vector<double> WarmPrimal(const EbfFormulation& form,
+                               const std::vector<double>& edge_len) {
+  const int cols = form.Model().NumCols();
+  std::vector<double> x(static_cast<std::size_t>(cols), 0.0);
+  for (int col = 0; col < cols; ++col) {
+    const NodeId v = form.Indexer().NodeOf(col);
+    if (static_cast<std::size_t>(v) < edge_len.size()) {
+      x[static_cast<std::size_t>(col)] =
+          std::max(0.0, edge_len[static_cast<std::size_t>(v)]) / form.Scale();
+    }
+  }
+  return x;
+}
 
 }  // namespace
 
@@ -150,101 +168,48 @@ EcoTopoEval EcoSession::EvaluateCandidateTopology(
   // session has ever separated seeds the candidate's model too, saving the
   // lazy loop from rediscovering them.
   std::unordered_set<std::int64_t> seen;
-  for (const std::array<std::int32_t, 2>& pr : form.SteinerRowPairs()) {
-    seen.insert(PairKey(pr[0], pr[1]));
-  }
+  AddCarriedPairs(pool_, &form, &seen, nullptr);
   LpModel& model = form.MutableModel();
-  const std::int32_t m = static_cast<std::int32_t>(set_.sinks.size());
-  model.ReserveRows(model.Rows().size() + pool_.size());
-  for (const std::array<std::int32_t, 2>& pr : pool_) {
-    if (pr[0] < 0 || pr[1] >= m || pr[0] == pr[1]) continue;
-    if (seen.count(PairKey(pr[0], pr[1])) != 0) continue;
-    const double rhs = form.SteinerRhsLp(pr[0], pr[1]);
-    if (!(rhs > 0.0)) continue;
-    model.AddRow(form.SteinerRowForSinks(pr[0], pr[1]));
-    seen.insert(PairKey(pr[0], pr[1]));
-  }
 
   // Warm primal: the caller's per-candidate-node layout lengths (the move
   // kernel projects the session's solved lengths through its renaming).
   LpWarmStart warm;
-  if (warm_edge_len != nullptr) {
-    warm.x.assign(static_cast<std::size_t>(model.NumCols()), 0.0);
-    for (int col = 0; col < model.NumCols(); ++col) {
-      const NodeId v = form.Indexer().NodeOf(col);
-      if (static_cast<std::size_t>(v) < warm_edge_len->size()) {
-        warm.x[static_cast<std::size_t>(col)] =
-            std::max(0.0, (*warm_edge_len)[static_cast<std::size_t>(v)]) /
-            form.Scale();
-      }
-    }
-  }
+  if (warm_edge_len != nullptr) warm.x = WarmPrimal(form, *warm_edge_len);
 
-  // Evaluation-local lazy loop: RunLazyLoop's structure with every mutable
-  // owned here. Separation and factorization run single-threaded — both are
-  // documented worker-count invariant, and evaluations themselves fan out
-  // across the optimizer's workers, so inner parallelism would only
-  // oversubscribe.
+  // Separation and factorization run single-threaded: both are documented
+  // worker-count invariant, and evaluations themselves fan out across the
+  // optimizer's workers, so inner parallelism would only oversubscribe. The
+  // interior-point context is evaluation-local, like every other mutable.
   IpmContext ipm;
   LpSolverOptions lp_opt = opt_.solve.lp;
   lp_opt.engine = LpEngine::kInteriorPoint;
   lp_opt.ipm_context = &ipm;
   lp_opt.factor_jobs = 1;
-  const double tol = opt_.solve.separation_tol;
-  const int max_rows = opt_.solve.max_rows_per_round;
+  lp_opt.warm_start = warm.x.empty() ? nullptr : &warm;
   const SeparationOptions sep{opt_.solve.separation, 1};
   std::vector<std::array<std::int32_t, 2>> pairs;
-
-  LpSolution sol;
-  for (int round = 0; round < opt_.solve.max_lazy_rounds; ++round) {
-    lp_opt.warm_start = warm.x.empty() ? nullptr : &warm;
-    sol = SolveLp(model, lp_opt);
-    ++out.lazy_rounds;
-    out.lp_iterations += sol.iterations;
-    if (!sol.ok() && lp_opt.warm_start != nullptr) {
-      warm.x.clear();
-      warm.ge_dual.clear();
-      lp_opt.warm_start = nullptr;
-      sol = SolveLp(model, lp_opt);
-      ++out.lazy_rounds;
-      out.lp_iterations += sol.iterations;
-    }
-    if (!sol.ok()) break;
-
-    std::vector<SparseRow> rows =
-        form.FindViolatedSteinerRows(sol.x, tol, max_rows, sep, &pairs);
-    std::size_t appended = 0;
-    model.ReserveRows(model.Rows().size() + rows.size());
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      if (!seen.insert(PairKey(pairs[k][0], pairs[k][1])).second) continue;
-      model.AddRow(std::move(rows[k]));
-      ++appended;
-    }
-    if (appended == 0) {
-      out.status = Status::Ok();
-      out.edge_len = form.EdgeLengths(sol.x);
-      out.stats = ComputeTreeStats(candidate, out.edge_len);
-      out.cost = out.stats.cost;
-      out.lp_rows = model.NumRows();
-#if LUBT_DCHECK_IS_ON
-      const Status post = ValidateEdgeLengths(prob, out.edge_len);
-      if (!post.ok()) out.status = post;
-#endif
-      return out;
-    }
-    if (lp_opt.warm_start_lazy_rounds &&
-        appended * 4 <= static_cast<std::size_t>(model.NumRows())) {
-      warm.x = sol.x;
-      warm.ge_dual = sol.ge_dual;
-    } else {
-      warm.x.clear();
-      warm.ge_dual.clear();
-    }
-  }
+  const RowOracle oracle = [&](std::span<const double> x) {
+    std::vector<SparseRow> rows = form.FindViolatedSteinerRows(
+        x, opt_.solve.separation_tol, opt_.solve.max_rows_per_round, sep,
+        &pairs);
+    KeepUnseenPairs(pairs, &seen, nullptr, &rows);
+    return rows;
+  };
+  LazySolveStats lazy;
+  const LpSolution sol = SolveWithLazyRows(
+      model, oracle, lp_opt, opt_.solve.max_lazy_rounds, &lazy);
+  out.lazy_rounds = lazy.rounds;
+  out.lp_iterations = lazy.lp_iterations;
   out.lp_rows = model.NumRows();
-  out.status = sol.ok() ? Status::NumericalFailure(
-                              "candidate evaluation did not converge")
-                        : sol.status;
+  out.status = sol.status;
+  if (!sol.ok()) return out;
+  out.edge_len = form.EdgeLengths(sol.x);
+  out.stats = ComputeTreeStats(candidate, out.edge_len);
+  out.cost = out.stats.cost;
+#if LUBT_DCHECK_IS_ON
+  const Status post = ValidateEdgeLengths(prob, out.edge_len);
+  if (!post.ok()) out.status = post;
+#endif
   return out;
 }
 
@@ -349,96 +314,104 @@ void EcoSession::FinishSolve(const LpSolution& sol, EcoSolveInfo* info) {
 #endif
 }
 
+int EcoSession::AddCarriedPairs(
+    std::span<const std::array<std::int32_t, 2>> carried, EbfFormulation* form,
+    std::unordered_set<std::int64_t>* seen,
+    std::vector<std::array<std::int32_t, 2>>* pool) const {
+  const std::vector<std::array<std::int32_t, 2>>& seeded =
+      form->SteinerRowPairs();
+  seen->clear();
+  for (const std::array<std::int32_t, 2>& pr : seeded) {
+    seen->insert(PairKey(pr[0], pr[1]));
+  }
+  if (pool != nullptr) *pool = seeded;
+  LpModel& model = form->MutableModel();
+  const std::int32_t m = NumSinks();
+  int added = 0;
+  for (const std::array<std::int32_t, 2>& pr : carried) {
+    if (pr[0] < 0 || pr[1] >= m || pr[0] == pr[1]) continue;
+    if (seen->count(PairKey(pr[0], pr[1])) != 0) continue;
+    if (!(form->SteinerRhsLp(pr[0], pr[1]) > 0.0)) continue;
+    model.AddRow(form->SteinerRowForSinks(pr[0], pr[1]));
+    if (pool != nullptr) pool->push_back(pr);
+    seen->insert(PairKey(pr[0], pr[1]));
+    ++added;
+  }
+  return added;
+}
+
+void EcoSession::KeepUnseenPairs(
+    std::span<const std::array<std::int32_t, 2>> pairs,
+    std::unordered_set<std::int64_t>* seen,
+    std::vector<std::array<std::int32_t, 2>>* pool,
+    std::vector<SparseRow>* rows) {
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < rows->size(); ++k) {
+    if (!seen->insert(PairKey(pairs[k][0], pairs[k][1])).second) continue;
+    if (pool != nullptr) pool->push_back(pairs[k]);
+    if (kept != k) (*rows)[kept] = std::move((*rows)[k]);
+    ++kept;
+  }
+  rows->resize(kept);
+}
+
 Status EcoSession::RunLazyLoop(const std::vector<double>* warm_x,
                                const std::vector<double>* warm_dual,
                                std::span<const std::uint8_t> dirty,
                                EcoSolveInfo* info) {
   LpModel& model = form_->MutableModel();
-  LpSolverOptions lp_opt = opt_.solve.lp;
-  lp_opt.engine = LpEngine::kInteriorPoint;  // simplex cannot warm-start
-  lp_opt.ipm_context = &ipm_;
-  const double tol = opt_.solve.separation_tol;
-  const int max_rows = opt_.solve.max_rows_per_round;
-  const SeparationOptions sep{opt_.solve.separation,
-                              opt_.solve.separation_jobs};
-
   LpWarmStart warm;
   if (warm_x != nullptr &&
       static_cast<int>(warm_x->size()) == model.NumCols()) {
     warm.x = *warm_x;
     if (warm_dual != nullptr) warm.ge_dual = *warm_dual;
   }
+  LpSolverOptions lp_opt = opt_.solve.lp;
+  lp_opt.engine = LpEngine::kInteriorPoint;  // simplex cannot warm-start
+  lp_opt.ipm_context = &ipm_;
+  lp_opt.warm_start = warm.x.empty() ? nullptr : &warm;
+  const double tol = opt_.solve.separation_tol;
+  const int max_rows = opt_.solve.max_rows_per_round;
+  const SeparationOptions sep{opt_.solve.separation,
+                              opt_.solve.separation_jobs};
+
+  // Separation: the dirty phase searches only pairs touching the edit
+  // (octant aggregates restricted via CrossBoundDirty); once it comes back
+  // empty the oracle switches to full passes permanently, so optimality is
+  // only ever certified against the whole pair space. Kept rows extend
+  // pool_ in row order, so pool_[k] stays the pair of SteinerRow(k).
   bool dirty_phase = !dirty.empty();
-
-  LpSolution sol;
-  for (int round = 0; round < opt_.solve.max_lazy_rounds; ++round) {
-    lp_opt.warm_start = warm.x.empty() ? nullptr : &warm;
-    sol = SolveLp(model, lp_opt);
-    ++info->lazy_rounds;
-    info->lp_iterations += sol.iterations;
-    if (!sol.ok() && lp_opt.warm_start != nullptr) {
-      // A warm point carried across an edit can (rarely) start the
-      // iteration in a bad region; retry the round cold before giving up.
-      ++info->cold_retries;
-      warm.x.clear();
-      warm.ge_dual.clear();
-      lp_opt.warm_start = nullptr;
-      sol = SolveLp(model, lp_opt);
-      ++info->lazy_rounds;
-      info->lp_iterations += sol.iterations;
+  const RowOracle oracle = [&](std::span<const double> x) {
+    std::vector<SparseRow> rows;
+    if (dirty_phase) {
+      rows = form_->FindViolatedSteinerRowsDirty(x, tol, max_rows, sep, dirty,
+                                                 &pairs_scratch_);
+      KeepUnseenPairs(pairs_scratch_, &pair_seen_, &pool_, &rows);
+      if (!rows.empty()) return rows;
+      dirty_phase = false;
     }
-    if (sol.warm_started) info->warm_started = true;
-    if (sol.symbolic_reused) info->symbolic_reused = true;
-    if (!sol.ok()) break;
+    rows = form_->FindViolatedSteinerRows(x, tol, max_rows, sep,
+                                          &pairs_scratch_);
+    KeepUnseenPairs(pairs_scratch_, &pair_seen_, &pool_, &rows);
+    return rows;
+  };
 
-    // Separation: the dirty phase searches only pairs touching the edit
-    // (octant aggregates restricted via CrossBoundDirty); once it comes
-    // back empty the loop switches to full passes permanently, so
-    // optimality is only ever certified against the whole pair space.
-    std::size_t appended = 0;
-    for (int phase = dirty_phase ? 0 : 1; phase < 2 && appended == 0;
-         ++phase) {
-      std::vector<SparseRow> rows =
-          phase == 0 ? form_->FindViolatedSteinerRowsDirty(
-                           sol.x, tol, max_rows, sep, dirty, &pairs_scratch_)
-                     : form_->FindViolatedSteinerRows(sol.x, tol, max_rows,
-                                                      sep, &pairs_scratch_);
-      if (phase == 1) dirty_phase = false;
-      model.ReserveRows(model.Rows().size() + rows.size());
-      for (std::size_t k = 0; k < rows.size(); ++k) {
-        const std::array<std::int32_t, 2> pr = pairs_scratch_[k];
-        if (!pair_seen_.insert(PairKey(pr[0], pr[1])).second) continue;
-        model.AddRow(std::move(rows[k]));
-        pool_.push_back(pr);
-        ++appended;
-      }
-      if (phase == 0 && appended == 0) dirty_phase = false;
-    }
-    if (appended == 0) {
-      FinishSolve(sol, info);
-      info->lp_rows = model.NumRows();
-      return info->status;
-    }
-    info->rows_added += static_cast<int>(appended);
-
-    // Warm-start the next round only when the model grew modestly (the
-    // lazy_row_solver gating): after a large append the previous iterate
-    // carries little information about the new optimum.
-    if (lp_opt.warm_start_lazy_rounds &&
-        appended * 4 <= static_cast<std::size_t>(model.NumRows())) {
-      warm.x = sol.x;
-      warm.ge_dual = sol.ge_dual;
-    } else {
-      warm.x.clear();
-      warm.ge_dual.clear();
-    }
-  }
-
-  lp_valid_ = false;
+  LazySolveStats lazy;
+  const LpSolution sol = SolveWithLazyRows(
+      model, oracle, lp_opt, opt_.solve.max_lazy_rounds, &lazy);
+  info->lazy_rounds = lazy.rounds;
+  info->lp_iterations = lazy.lp_iterations;
+  info->rows_added = lazy.rows_added;
+  info->cold_retries = lazy.cold_retries;
+  info->warm_started = lazy.warm_rounds > 0;
+  info->symbolic_reused = lazy.symbolic_reuses > 0;
   info->lp_rows = model.NumRows();
-  return sol.ok()
-             ? Status::NumericalFailure("eco lazy loop did not converge")
-             : sol.status;
+  if (!sol.ok()) {
+    lp_valid_ = false;
+    return sol.status;
+  }
+  FinishSolve(sol, info);
+  return info->status;
 }
 
 Status EcoSession::RebuildAndSolve(const std::vector<double>* warm_edge_len,
@@ -456,25 +429,11 @@ Status EcoSession::RebuildAndSolve(const std::vector<double>* warm_edge_len,
   // Re-materialize the carried Steiner pool against the fresh model: the
   // seed rows come back from Build; every other remembered pair is re-added
   // with its RHS recomputed at the current coordinates and scale.
-  std::vector<std::array<std::int32_t, 2>> carried = std::move(pool_);
-  pool_ = form_->SteinerRowPairs();
-  pair_seen_.clear();
-  for (const std::array<std::int32_t, 2>& pr : pool_) {
-    pair_seen_.insert(PairKey(pr[0], pr[1]));
-  }
-  LpModel& model = form_->MutableModel();
-  const std::int32_t m = static_cast<std::int32_t>(set_.sinks.size());
-  for (const std::array<std::int32_t, 2>& pr : carried) {
-    if (pr[0] < 0 || pr[1] >= m || pr[0] == pr[1]) continue;
-    if (pair_seen_.count(PairKey(pr[0], pr[1])) != 0) continue;
-    const double rhs = form_->SteinerRhsLp(pr[0], pr[1]);
-    if (!(rhs > 0.0)) continue;
-    model.AddRow(form_->SteinerRowForSinks(pr[0], pr[1]));
-    pool_.push_back(pr);
-    pair_seen_.insert(PairKey(pr[0], pr[1]));
-    ++info->rows_refreshed;
-  }
+  const std::vector<std::array<std::int32_t, 2>> carried = std::move(pool_);
+  info->rows_refreshed +=
+      AddCarriedPairs(carried, &*form_, &pair_seen_, &pool_);
 
+  const std::int32_t m = static_cast<std::int32_t>(set_.sinks.size());
   ge_has_hi_.assign(static_cast<std::size_t>(m), 0);
   for (std::int32_t s = 0; s < m; ++s) {
     ge_has_hi_[static_cast<std::size_t>(s)] =
@@ -482,17 +441,7 @@ Status EcoSession::RebuildAndSolve(const std::vector<double>* warm_edge_len,
   }
 
   std::vector<double> warm;
-  if (warm_edge_len != nullptr) {
-    warm.assign(static_cast<std::size_t>(model.NumCols()), 0.0);
-    for (int col = 0; col < model.NumCols(); ++col) {
-      const NodeId v = form_->Indexer().NodeOf(col);
-      if (static_cast<std::size_t>(v) < warm_edge_len->size()) {
-        warm[static_cast<std::size_t>(col)] =
-            std::max(0.0, (*warm_edge_len)[static_cast<std::size_t>(v)]) /
-            form_->Scale();
-      }
-    }
-  }
+  if (warm_edge_len != nullptr) warm = WarmPrimal(*form_, *warm_edge_len);
   return RunLazyLoop(warm_edge_len != nullptr ? &warm : nullptr, nullptr, {},
                      info);
 }

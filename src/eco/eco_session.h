@@ -274,8 +274,29 @@ class EcoSession {
                          std::span<const double> pending_lo,
                          std::span<const double> pending_hi) const;
 
-  // The session's lazy loop: solve, separate (dirty-first when `dirty` is
-  // non-empty, then always certify with full passes), append, repeat.
+  // Seed `seen` (and `pool`, when given) with `form`'s own Steiner-row
+  // pairs, then append to `form`'s model a row for every `carried` pair not
+  // yet seen whose RHS is still positive, registering each in `seen` and
+  // `pool`. Returns the number of rows appended.
+  int AddCarriedPairs(std::span<const std::array<std::int32_t, 2>> carried,
+                      EbfFormulation* form,
+                      std::unordered_set<std::int64_t>* seen,
+                      std::vector<std::array<std::int32_t, 2>>* pool) const;
+
+  // Drop from `rows` (in place, order kept) every row whose sink pair
+  // `seen` already holds, repeats within `rows` included; `pairs[k]` defines
+  // (*rows)[k]. Each kept pair is inserted into `seen` and, when `pool` is
+  // given, appended to it.
+  static void KeepUnseenPairs(
+      std::span<const std::array<std::int32_t, 2>> pairs,
+      std::unordered_set<std::int64_t>* seen,
+      std::vector<std::array<std::int32_t, 2>>* pool,
+      std::vector<SparseRow>* rows);
+
+  // The session's lazy solve: SolveWithLazyRows warm-started from
+  // `warm_x`/`warm_dual` (ignored unless sized to the model), with an oracle
+  // that separates dirty-first when `dirty` is non-empty, always certifies
+  // with full passes, and registers every appended row in pool_.
   Status RunLazyLoop(const std::vector<double>* warm_x,
                      const std::vector<double>* warm_dual,
                      std::span<const std::uint8_t> dirty, EcoSolveInfo* info);

@@ -13,6 +13,7 @@ LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
                              LazySolveStats* stats) {
   LazySolveStats local;
   LpSolution solution;
+  bool converged = false;
 
   // Per-solve interior-point state threaded across rounds: the previous
   // round's iterate seeds the next round, and the sparse symbolic analysis
@@ -28,25 +29,30 @@ LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
   }
 
   for (int round = 0; round < max_rounds; ++round) {
-    ++local.rounds;
-    round_options.warm_start =
-        thread_rounds && !warm.x.empty() ? &warm : nullptr;
+    // Round 0 starts from the caller's point; later rounds from the
+    // previous round's iterate when the append gate below kept it.
+    if (round > 0) {
+      round_options.warm_start = warm.x.empty() ? nullptr : &warm;
+    }
     Timer lp_timer;
     solution = SolveLp(model, round_options);
+    ++local.rounds;
     local.lp_iterations += solution.iterations;
     if (!solution.ok() && round_options.warm_start != nullptr) {
-      // A warm point carried across appended rows can (rarely) start the
-      // iteration in a bad region; retry the round cold before giving up.
+      // A warm point carried across appended rows (or an edit) can, rarely,
+      // start the iteration in a bad region; retry the round cold before
+      // giving up.
       LUBT_LOG_DEBUG << "lazy round " << round
                      << ": warm solve failed (" << solution.status.message()
                      << "), retrying cold";
+      ++local.cold_retries;
       round_options.warm_start = nullptr;
       solution = SolveLp(model, round_options);
+      ++local.rounds;
       local.lp_iterations += solution.iterations;
-    } else if (solution.warm_started) {
-      ++local.warm_rounds;
     }
     local.lp_seconds += lp_timer.Seconds();
+    if (solution.warm_started) ++local.warm_rounds;
     if (solution.symbolic_reused) ++local.symbolic_reuses;
     local.regularizations += solution.regularizations;
     if (!solution.ok()) break;
@@ -56,29 +62,33 @@ LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
     local.separation_seconds += sep_timer.Seconds();
     LUBT_LOG_DEBUG << "lazy round " << round << ": obj=" << solution.objective
                    << " violated=" << violated.size();
-    if (violated.empty()) break;
-    if (thread_rounds) {
-      // Warm-start the next round only when the model grows modestly: after
-      // a large append the previous iterate carries little information about
-      // the new optimum and a cold start converges faster.
-      if (violated.size() * 4 <=
-          static_cast<std::size_t>(model.NumRows()) + violated.size()) {
-        warm.x = solution.x;
-        warm.ge_dual = solution.ge_dual;
-      } else {
-        warm.x.clear();
-        warm.ge_dual.clear();
-      }
+    if (violated.empty()) {
+      converged = true;
+      break;
+    }
+    // Warm-start the next round only when the model grows modestly: after
+    // a large append the previous iterate carries little information about
+    // the new optimum and a cold start converges faster.
+    if (thread_rounds &&
+        violated.size() * 4 <=
+            static_cast<std::size_t>(model.NumRows()) + violated.size()) {
+      warm.x = solution.x;
+      warm.ge_dual = solution.ge_dual;
+    } else {
+      warm.x.clear();
+      warm.ge_dual.clear();
     }
     model.ReserveRows(model.Rows().size() + violated.size());
     for (SparseRow& row : violated) {
       model.AddRow(std::move(row));
       ++local.rows_added;
     }
-    if (round + 1 == max_rounds) {
-      solution.status =
-          Status::NumericalFailure("lazy row generation did not converge");
-    }
+  }
+  if (!converged && solution.ok()) {
+    // Out of rounds with rows still violated, or no round ran at all
+    // (max_rounds <= 0): either way there is no optimal point to report.
+    solution.status =
+        Status::NumericalFailure("lazy row generation did not converge");
   }
   local.final_rows = model.NumRows();
   if (stats != nullptr) *stats = local;

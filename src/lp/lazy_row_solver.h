@@ -26,11 +26,12 @@ using RowOracle =
 
 /// Statistics about a lazy solve.
 struct LazySolveStats {
-  int rounds = 0;           ///< LP solves performed
+  int rounds = 0;           ///< LP solves performed, cold retries included
+  int cold_retries = 0;     ///< warm solves that failed and re-ran cold
   int rows_added = 0;       ///< rows appended by the oracle over all rounds
   int final_rows = 0;       ///< rows in the last relaxation
   int lp_iterations = 0;    ///< engine iterations over all rounds
-  int warm_rounds = 0;      ///< rounds started from the previous iterate
+  int warm_rounds = 0;      ///< rounds whose solve consumed a warm start
   int symbolic_reuses = 0;  ///< rounds that reused the symbolic analysis
   int regularizations = 0;  ///< Cholesky regularization retries, all rounds
   /// Per-phase wall-time breakdown: seconds spent inside the LP engine vs
@@ -43,15 +44,27 @@ struct LazySolveStats {
 };
 
 /// Solve min c'x s.t. all rows of `model` plus all rows the oracle can emit.
-/// `model` is mutated: violated rows are appended to it.
+/// `model` is mutated: every row the oracle returns is appended, in order.
+/// This is the one lazy-round loop: cold EBF solves, ECO edits and
+/// topology-candidate evaluations all run through it, and keep their
+/// caller-specific logic (pair dedup, dirty-first separation, row
+/// registries) inside the oracle.
 ///
-/// With the interior-point engine (and `options.warm_start_lazy_rounds`,
-/// the default), each round after the first starts from the previous
-/// round's primal/dual iterate and reuses the sparse symbolic analysis when
-/// the appended rows fit the analyzed pattern — rows are only ever
-/// appended, so the ge-row order of earlier rounds is a stable prefix and
-/// the dual prefix transfers directly. A warm round that fails numerically
-/// is retried cold before giving up.
+/// Round 0 starts from `options.warm_start` when given (interior point;
+/// nullptr = cold). With the interior-point engine and
+/// `options.warm_start_lazy_rounds` (the default), each later round starts
+/// from the previous round's primal/dual iterate when the append was modest
+/// (at most a quarter of the grown model), and reuses the sparse symbolic
+/// analysis when the appended rows fit the analyzed pattern — rows are only
+/// ever appended, so the ge-row order of earlier rounds is a stable prefix
+/// and the dual prefix transfers directly. `options.ipm_context` is used
+/// when given, otherwise the rounds share a solve-local one. A warm solve
+/// that fails is retried cold once (counted in `cold_retries` and in
+/// `rounds`) before giving up.
+///
+/// Returns a non-OK status when the last solve failed, or when no point
+/// satisfying every oracle row was found within `max_rounds` rounds
+/// (including `max_rounds <= 0`, which runs no solve).
 LpSolution SolveWithLazyRows(LpModel& model, const RowOracle& oracle,
                              const LpSolverOptions& options = {},
                              int max_rounds = 50,

@@ -658,7 +658,6 @@ void SparseNormalFactor::BuildSchedule() {
   // chunk barrier in ascending order (parents follow children).
   const double cut = total / kTrunkCut;
   std::vector<std::int32_t> roots;
-  std::vector<char> in_task(static_cast<std::size_t>(nsup), 0);
   for (int s = 0; s < nsup; ++s) {
     const std::int32_t p = parent[static_cast<std::size_t>(s)];
     if (subtree[static_cast<std::size_t>(s)] <= cut &&
@@ -701,7 +700,6 @@ void SparseNormalFactor::BuildSchedule() {
   for (const std::int32_t r : roots) {
     chunk_of[static_cast<std::size_t>(r)] =
         chunk_of_root[static_cast<std::size_t>(r)];
-    in_task[static_cast<std::size_t>(r)] = 1;
   }
   for (int s = nsup - 1; s >= 0; --s) {
     const std::int32_t p = parent[static_cast<std::size_t>(s)];
@@ -709,7 +707,6 @@ void SparseNormalFactor::BuildSchedule() {
         chunk_of[static_cast<std::size_t>(p)] >= 0) {
       chunk_of[static_cast<std::size_t>(s)] =
           chunk_of[static_cast<std::size_t>(p)];
-      in_task[static_cast<std::size_t>(s)] = 1;
     }
   }
   sn_chunk_ptr_.assign(static_cast<std::size_t>(nchunks) + 1, 0);
@@ -736,7 +733,6 @@ void SparseNormalFactor::BuildSchedule() {
       sn_trunk_.push_back(s);
     }
   }
-  (void)in_task;
 
   chunk_scratch_.assign(static_cast<std::size_t>(nchunks) + 1,
                         ChunkScratch{});

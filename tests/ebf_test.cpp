@@ -539,5 +539,27 @@ TEST(LazyWarmStartTest, WarmRoundsMatchColdOnRandomInstances) {
   }
 }
 
+TEST(LazyWarmStartTest, ZeroLazyRoundsIsAnError) {
+  // No lazy round means no solved point: SolveEbf must report a failure,
+  // not read edge lengths out of an empty primal vector.
+  SinkSet set = RandomSinkSet(20, BBox({0, 0}, {1000, 1000}), 5, true);
+  const double R = Radius(set.sinks, set.source);
+  Topology topo = NnMergeTopology(set.sinks, set.source);
+  EbfProblem prob;
+  prob.topo = &topo;
+  prob.sinks = set.sinks;
+  prob.source = set.source;
+  prob.bounds.assign(set.sinks.size(), DelayBounds{0.9 * R, 1.2 * R});
+
+  EbfSolveOptions opt;
+  opt.strategy = EbfStrategy::kLazy;
+  opt.max_lazy_rounds = 0;
+  const EbfSolveResult r = SolveEbf(prob, opt);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status.code(), StatusCode::kNumericalFailure);
+  EXPECT_EQ(r.lazy_rounds, 0);
+  EXPECT_TRUE(r.edge_len.empty());
+}
+
 }  // namespace
 }  // namespace lubt

@@ -1,12 +1,15 @@
 // Incremental ECO engine tests: the randomized incremental ≡ cold oracle,
 // the bitwise no-op tier contract for active-set-preserving RHS edits,
-// determinism of edit streams, infeasible-window recovery, persistence of
-// edited instances, the edit-script text format, and the batch eco job.
+// determinism of edit streams, pinned per-edit reuse counters,
+// infeasible-window recovery, persistence of edited instances, the
+// edit-script text format, and the batch eco job.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <ios>
+#include <iterator>
 #include <vector>
 
 #include "check/invariants.h"
@@ -339,6 +342,86 @@ TEST(EcoSessionTest, EditStreamsAreDeterministic) {
   EXPECT_EQ(std::memcmp(lens[0].data(), lens[1].data(),
                         lens[0].size() * sizeof(double)),
             0);
+}
+
+// Pins the per-edit reuse counters of one fixed seeded stream: the lazy-row
+// driver must spend the same LP solves, append the same rows and take the
+// same warm/cold decisions on every edit, not just reach the same costs. The
+// stream (40 edits, every kind, add/remove included) stays feasible
+// throughout; costs are compared bitwise.
+TEST(EcoSessionTest, PinnedCountersOfSeededStream) {
+  using K = EcoEditKind;
+  using T = EcoTier;
+  struct Expected {
+    EcoEditKind kind;
+    EcoTier tier;
+    int lazy_rounds;
+    int rows_added;
+    int cold_retries;
+    bool warm_started;
+    bool symbolic_reused;
+    double cost;
+  };
+  const Expected kExpected[] = {
+    {K::kRemoveSink, T::kStructural, 2, 2, 0, true, false, 0x1.05e27f282994cp+11},
+    {K::kRemoveSink, T::kStructural, 1, 0, 0, true, false, 0x1.05154f98972bdp+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 5, 0, true, true, 0x1.3c083463901d1p+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 1, 0, true, true, 0x1.3122fdceaad4cp+11},
+    {K::kAddSink, T::kStructural, 1, 0, 0, true, false, 0x1.493d9d8015468p+11},
+    {K::kSetBounds, T::kNoOp, 0, 0, 0, false, false, 0x1.493d9d8015468p+11},
+    {K::kSetBounds, T::kNoOp, 0, 0, 0, false, false, 0x1.493d9d8015468p+11},
+    {K::kSetBounds, T::kRhsWarm, 2, 5, 0, true, false, 0x1.30eeecace5cd7p+11},
+    {K::kSetBounds, T::kRhsWarm, 1, 0, 0, true, true, 0x1.250b8af26c827p+11},
+    {K::kSetBounds, T::kRhsWarm, 1, 0, 0, true, true, 0x1.250b8af321276p+11},
+    {K::kRemoveSink, T::kStructural, 2, 1, 0, true, false, 0x1.f949e801a583fp+10},
+    {K::kAddSink, T::kStructural, 2, 3, 0, true, false, 0x1.010d2444d7ad6p+11},
+    {K::kAddSink, T::kStructural, 1, 0, 0, true, false, 0x1.16c4d05eac3ebp+11},
+    {K::kSetBounds, T::kNoOp, 0, 0, 0, false, false, 0x1.16c4d05eac3ebp+11},
+    {K::kShiftWindow, T::kRhsWarm, 1, 0, 0, true, false, 0x1.16c4d05e6bc64p+11},
+    {K::kSetBounds, T::kRhsWarm, 1, 0, 0, true, false, 0x1.1ad61a446333ep+11},
+    {K::kRemoveSink, T::kStructural, 1, 0, 0, true, false, 0x1.dafd06d37f32cp+10},
+    {K::kMoveSink, T::kRhsWarm, 1, 0, 0, true, true, 0x1.1a7009542b77fp+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 2, 0, true, true, 0x1.30f86bf2a7786p+11},
+    {K::kAddSink, T::kStructural, 2, 9, 0, true, false, 0x1.48154ce3967c6p+11},
+    {K::kRemoveSink, T::kStructural, 1, 0, 0, true, false, 0x1.40fd63fe5fbd8p+11},
+    {K::kSetBounds, T::kNoOp, 0, 0, 0, false, false, 0x1.40fd63fe5fbd8p+11},
+    {K::kAddSink, T::kStructural, 2, 4, 0, true, false, 0x1.4ffc2a3f63354p+11},
+    {K::kSetBounds, T::kRhsWarm, 1, 0, 0, true, false, 0x1.47eddfe809d6dp+11},
+    {K::kRemoveSink, T::kStructural, 1, 0, 0, true, false, 0x1.3d0eb8070895p+11},
+    {K::kShiftWindow, T::kRhsWarm, 1, 0, 0, true, true, 0x1.39f66c8cdced3p+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 1, 0, true, true, 0x1.58c8c62c93807p+11},
+    {K::kSetBounds, T::kNoOp, 0, 0, 0, false, false, 0x1.58c8c62c93807p+11},
+    {K::kMoveSink, T::kRhsWarm, 1, 0, 0, true, false, 0x1.5758731d3eacp+11},
+    {K::kShiftWindow, T::kRhsWarm, 1, 0, 0, true, true, 0x1.55f87a191a788p+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 4, 0, true, true, 0x1.52105d4dc46dp+11},
+    {K::kShiftWindow, T::kRhsWarm, 1, 0, 0, true, true, 0x1.52000abf93d41p+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 1, 0, true, true, 0x1.5dd7e84a84cbbp+11},
+    {K::kShiftWindow, T::kRhsWarm, 1, 0, 0, true, true, 0x1.5cfa80f6bd689p+11},
+    {K::kMoveSink, T::kRhsWarm, 1, 0, 0, true, true, 0x1.646e78c86ea9p+11},
+    {K::kShiftWindow, T::kRhsWarm, 1, 0, 0, true, true, 0x1.63a99360b8ca9p+11},
+    {K::kAddSink, T::kStructural, 2, 9, 0, true, false, 0x1.6ffdbe26d1e2bp+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 1, 0, true, true, 0x1.7e62ea4886ba1p+11},
+    {K::kMoveSink, T::kRhsWarm, 2, 5, 0, true, true, 0x1.a8c97826ffae6p+11},
+    {K::kAddSink, T::kStructural, 2, 1, 0, true, false, 0x1.af80421a6a9aap+11},
+  };
+  auto session = MakeSession(18, 5, 0.85, 1.25);
+  Rng rng(2723);
+  for (std::size_t op = 0; op < std::size(kExpected); ++op) {
+    const Expected& want = kExpected[op];
+    const EcoEdit edit = DrawEdit(rng, *session);
+    ASSERT_EQ(edit.kind, want.kind) << "op " << op;
+    auto info = session->Apply(edit);
+    ASSERT_TRUE(info.ok()) << info.status();
+    ASSERT_TRUE(info->ok()) << "op " << op << ": " << info->status;
+    EXPECT_EQ(info->tier, want.tier) << "op " << op;
+    EXPECT_EQ(info->lazy_rounds, want.lazy_rounds) << "op " << op;
+    EXPECT_EQ(info->rows_added, want.rows_added) << "op " << op;
+    EXPECT_EQ(info->cold_retries, want.cold_retries) << "op " << op;
+    EXPECT_EQ(info->warm_started, want.warm_started) << "op " << op;
+    EXPECT_EQ(info->symbolic_reused, want.symbolic_reused) << "op " << op;
+    EXPECT_EQ(info->cost, want.cost) << "op " << op << std::hexfloat
+                                     << ": got " << info->cost;
+  }
 }
 
 // A structurally edited instance persists through the tree text format and

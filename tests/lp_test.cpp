@@ -660,6 +660,110 @@ TEST(LazyRowTest, WarmLazyRoundsMatchColdOnInteriorPoint) {
   EXPECT_LE(full.MaxInfeasibility(sol[1].x), 1e-6);
 }
 
+// Lazy fixture shared by the driver-protocol tests below: a banded model
+// whose first eighth of rows seeds the relaxation and whose oracle separates
+// the rest, counting its calls (one per successful round).
+struct BandedLazyFixture {
+  static constexpr int kCols = 96;
+  LpModel full{kCols};
+  int oracle_calls = 0;
+  RowOracle oracle;
+
+  // The oracle captures `this`: the fixture stays where it was built.
+  BandedLazyFixture(const BandedLazyFixture&) = delete;
+  BandedLazyFixture& operator=(const BandedLazyFixture&) = delete;
+
+  explicit BandedLazyFixture(std::uint64_t seed) {
+    Rng rng(seed);
+    full = RandomBandedModel(rng, kCols, 4 * kCols);
+    oracle = [this](std::span<const double> x) {
+      ++oracle_calls;
+      std::vector<SparseRow> out;
+      for (const SparseRow& row : full.Rows()) {
+        if (row.Activity(x) < row.lo - 1e-9) out.push_back(row);
+      }
+      return out;
+    };
+  }
+
+  LpModel Seed() const {
+    LpModel lazy(kCols);
+    for (int c = 0; c < kCols; ++c) {
+      lazy.SetObjective(c, full.Objective()[static_cast<std::size_t>(c)]);
+    }
+    for (int r = 0; r < full.NumRows() / 8; ++r) lazy.AddRow(full.Row(r));
+    return lazy;
+  }
+};
+
+TEST(LazyRowTest, CallerWarmStartSeedsRoundZero) {
+  // With lazy-round threading off, only round 0 can start warm — and it
+  // must, from the caller's point.
+  BandedLazyFixture fx(43);
+  LpSolverOptions o = Ipm();
+  o.warm_start_lazy_rounds = false;
+  LpModel cold_model = fx.Seed();
+  LazySolveStats cold_stats;
+  const LpSolution cold =
+      SolveWithLazyRows(cold_model, fx.oracle, o, 50, &cold_stats);
+  ASSERT_TRUE(cold.ok()) << cold.status;
+  EXPECT_EQ(cold_stats.warm_rounds, 0);
+  EXPECT_EQ(cold_stats.rounds, fx.oracle_calls);
+
+  const LpWarmStart warm{cold.x, {}};
+  o.warm_start = &warm;
+  fx.oracle_calls = 0;
+  LpModel warm_model = fx.Seed();
+  LazySolveStats stats;
+  const LpSolution sol =
+      SolveWithLazyRows(warm_model, fx.oracle, o, 50, &stats);
+  ASSERT_TRUE(sol.ok()) << sol.status;
+  EXPECT_EQ(stats.warm_rounds, 1);
+  EXPECT_EQ(stats.cold_retries, 0);
+  EXPECT_EQ(stats.rounds, fx.oracle_calls);
+  EXPECT_NEAR(sol.objective, cold.objective,
+              1e-6 * (1.0 + std::abs(cold.objective)));
+}
+
+TEST(LazyRowTest, RoundsCountEverySolveIncludingColdRetries) {
+  // A caller warm start far from the optimum exhausts the iteration budget;
+  // the driver retries that round cold and counts both solves. Every
+  // successful solve is followed by exactly one oracle call, so the LP
+  // solves are the oracle calls plus the failed warm attempt.
+  const double kFar = 1e12;
+  const LpWarmStart far{std::vector<double>(BandedLazyFixture::kCols, kFar),
+                        std::vector<double>(40, kFar)};
+  {
+    BandedLazyFixture fx(43);
+    LpSolverOptions o = Ipm();
+    o.warm_start_lazy_rounds = false;
+    o.max_iterations = 30;
+    o.warm_start = &far;
+    LpModel model = fx.Seed();
+    LazySolveStats stats;
+    const LpSolution sol = SolveWithLazyRows(model, fx.oracle, o, 50, &stats);
+    ASSERT_TRUE(sol.ok()) << sol.status;
+    EXPECT_EQ(stats.cold_retries, 1);
+    EXPECT_EQ(stats.warm_rounds, 0);
+    EXPECT_EQ(stats.rounds, fx.oracle_calls + 1);
+  }
+  {
+    // One iteration is never enough: the warm attempt and its cold retry
+    // both fail, no oracle call happens, and both solves still count.
+    BandedLazyFixture fx(43);
+    LpSolverOptions o = Ipm();
+    o.max_iterations = 1;
+    o.warm_start = &far;
+    LpModel model = fx.Seed();
+    LazySolveStats stats;
+    const LpSolution sol = SolveWithLazyRows(model, fx.oracle, o, 50, &stats);
+    EXPECT_FALSE(sol.ok());
+    EXPECT_EQ(stats.rounds, 2);
+    EXPECT_EQ(stats.cold_retries, 1);
+    EXPECT_EQ(fx.oracle_calls, 0);
+  }
+}
+
 // ---- Model sanity ------------------------------------------------------------
 
 TEST(LpModelTest, ActivityAndInfeasibility) {
