@@ -97,7 +97,7 @@ void BM_SparseFactor(benchmark::State& state) {
   const CompiledLpModel& a = built->Model().Compiled();
   SparseNormalFactor factor;
   factor.Analyze(a);
-  factor.SetMode(mode, 1);
+  factor.SetMode(mode);
   const std::vector<double> row_weight(
       static_cast<std::size_t>(a.num_rows), 1.0);
   const std::vector<double> diag(static_cast<std::size_t>(a.num_cols), 1.0);

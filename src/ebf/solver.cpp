@@ -5,7 +5,6 @@
 #include "check/dcheck.h"
 #include "check/invariants.h"
 #include "ebf/zero_skew_direct.h"
-#include "lp/presolve.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -156,13 +155,6 @@ EbfSolveResult SolveEbf(const EbfProblem& problem,
                            options.max_lazy_rounds, &stats);
     result.lazy_rounds = stats.rounds;
     result.lazy_stats = stats;
-  } else if (options.use_presolve) {
-    PresolveStats stats;
-    const LpModel reduced = Presolve(formulation.Model(), &stats);
-    LUBT_LOG_INFO << "presolve: dropped " << stats.trivial_rows_dropped
-                  << " trivial rows, merged " << stats.duplicate_rows_merged
-                  << " duplicates, kept " << stats.rows_kept;
-    lp = SolveLp(reduced, options.lp);
   } else {
     lp = SolveLp(formulation.Model(), options.lp);
   }

@@ -41,10 +41,6 @@ struct EbfSolveOptions {
   /// (Section 4.6: the constraints collapse to equalities and no
   /// optimization is necessary). The LP path is kept for cross-checking.
   bool use_zero_skew_fast_path = true;
-  /// Run the row presolve (drop trivially satisfied rows, merge duplicate
-  /// supports) before handing the model to the engine. Only applies to the
-  /// kFullRows / kReducedRows strategies; the lazy model is already small.
-  bool use_presolve = false;
 };
 
 /// Solve outcome. `edge_len` is indexed by node id in layout units.

@@ -176,15 +176,14 @@ EcoTopoEval EcoSession::EvaluateCandidateTopology(
   LpWarmStart warm;
   if (warm_edge_len != nullptr) warm.x = WarmPrimal(form, *warm_edge_len);
 
-  // Separation and factorization run single-threaded: both are documented
-  // worker-count invariant, and evaluations themselves fan out across the
-  // optimizer's workers, so inner parallelism would only oversubscribe. The
+  // Separation runs single-threaded: it is documented worker-count
+  // invariant, and evaluations themselves fan out across the optimizer's
+  // workers, so inner parallelism would only oversubscribe. The
   // interior-point context is evaluation-local, like every other mutable.
   IpmContext ipm;
   LpSolverOptions lp_opt = opt_.solve.lp;
   lp_opt.engine = LpEngine::kInteriorPoint;
   lp_opt.ipm_context = &ipm;
-  lp_opt.factor_jobs = 1;
   lp_opt.warm_start = warm.x.empty() ? nullptr : &warm;
   const SeparationOptions sep{opt_.solve.separation, 1};
   std::vector<std::array<std::int32_t, 2>> pairs;

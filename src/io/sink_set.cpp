@@ -57,6 +57,11 @@ Result<SinkSet> ParseSinkSet(const std::string& text) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": unknown record '" + kind + "'");
     }
+    std::string trailing;
+    if (ls >> trailing) {
+      return Status::InvalidArgument("line " + std::to_string(line_no) +
+                                     ": trailing token '" + trailing + "'");
+    }
   }
   if (set.sinks.empty()) {
     return Status::InvalidArgument("sink set has no sinks");

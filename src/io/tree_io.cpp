@@ -95,6 +95,8 @@ Result<TreeSolution> ParseTreeSolution(const std::string& text) {
     } else {
       return fail("unknown record '" + kind + "'");
     }
+    std::string trailing;
+    if (ls >> trailing) return fail("trailing token '" + trailing + "'");
   }
   if (!saw_header) return Status::InvalidArgument("missing 'tree v1' header");
   if (raw.empty()) return Status::InvalidArgument("no nodes");

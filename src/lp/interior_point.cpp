@@ -424,7 +424,7 @@ LpSolution SolveWithInteriorPoint(const LpModel& model,
   SparseNormalFactor& factor = options.ipm_context != nullptr
                                    ? options.ipm_context->normal
                                    : local_factor;
-  factor.SetMode(options.factor_mode, options.factor_jobs);
+  factor.SetMode(options.factor_mode);
   const bool symbolic_reused = factor.TryExtend(a);
   if (symbolic_reused) {
     if (options.ipm_context != nullptr) ++options.ipm_context->symbolic_reuses;

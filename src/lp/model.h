@@ -150,7 +150,7 @@ const char* LpEngineName(LpEngine engine);
 /// same factor to floating-point roundoff; the simplicial path stays as the
 /// scalar oracle.
 enum class IpmFactorMode {
-  kSupernodal,  ///< blocked panels + subtree-parallel schedule (default)
+  kSupernodal,  ///< blocked panels + static update schedule (default)
   kSimplicial,  ///< single-threaded column-at-a-time reference kernel
 };
 
@@ -176,9 +176,6 @@ struct LpSolverOptions {
 
   /// Interior point: numeric factorization kernel (see IpmFactorMode).
   IpmFactorMode factor_mode = IpmFactorMode::kSupernodal;
-  /// Supernodal kernel: worker threads for independent elimination-tree
-  /// subtrees. Results are bitwise identical at any worker count.
-  int factor_jobs = 1;
   /// Interior point: optional warm start (see LpWarmStart).
   const LpWarmStart* warm_start = nullptr;
   /// Interior point: reusable cache holding the symbolic factorization.

@@ -1,12 +1,10 @@
 #include "lp/sparse_chol.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <queue>
 
 #include "check/dcheck.h"
-#include "runtime/thread_pool.h"
 
 namespace lubt {
 
@@ -24,11 +22,6 @@ constexpr int kAmalgWidth1 = 16;
 constexpr double kAmalgZero1 = 0.25;
 constexpr int kAmalgWidth2 = 48;
 constexpr double kAmalgZero2 = 0.1;
-// A subtree whose share of the total factor work is below 1/kTrunkCut is a
-// parallel task; the rest of the tree is the sequential trunk.
-constexpr double kTrunkCut = 48.0;
-// Upper bound on parallel chunks (bounds per-chunk scratch memory).
-constexpr int kMaxChunks = 64;
 
 }  // namespace
 
@@ -383,10 +376,7 @@ void SparseNormalFactor::BuildSymbolic() {
   factored_supernodal_ = false;
 }
 
-void SparseNormalFactor::SetMode(IpmFactorMode mode, int jobs) {
-  mode_ = mode;
-  jobs_ = std::max(1, jobs);
-}
+void SparseNormalFactor::SetMode(IpmFactorMode mode) { mode_ = mode; }
 
 void SparseNormalFactor::BuildSupernodes(
     const std::vector<std::int64_t>& count) {
@@ -555,18 +545,11 @@ void SparseNormalFactor::BuildSchedule() {
   sn_upd_begin_.assign(nupd, 0);
   sn_upd_len_.assign(nupd, 0);
   std::vector<std::int64_t> fill(sn_upd_ptr_.begin(), sn_upd_ptr_.end() - 1);
-  // Per-target exact work (update flops pulled + panel factor flops) feeds
-  // the subtree load estimate for chunking.
-  std::vector<double> work(static_cast<std::size_t>(nsup), 0.0);
   for (int s = 0; s < nsup; ++s) {
     const std::int32_t width = sn_start_[static_cast<std::size_t>(s) + 1] -
                                sn_start_[static_cast<std::size_t>(s)];
     const std::int64_t rbeg = sn_rows_ptr_[static_cast<std::size_t>(s)];
     const std::int64_t rend = sn_rows_ptr_[static_cast<std::size_t>(s) + 1];
-    const std::int64_t rlen = rend - rbeg;
-    work[static_cast<std::size_t>(s)] +=
-        static_cast<double>(width) * static_cast<double>(width) *
-        static_cast<double>(rlen);
     std::int64_t i = rbeg + width;
     while (i < rend) {
       const int t = sn_of_col_[static_cast<std::size_t>(
@@ -583,162 +566,45 @@ void SparseNormalFactor::BuildSchedule() {
           static_cast<std::int32_t>(i - rbeg);
       sn_upd_len_[static_cast<std::size_t>(e)] =
           static_cast<std::int32_t>(j - i);
-      work[static_cast<std::size_t>(t)] += static_cast<double>(j - i) *
-                                           static_cast<double>(rend - i) *
-                                           static_cast<double>(width);
       i = j;
     }
   }
 
+  // Factor scratch, sized here so the numeric factor never allocates.
+  relmap_.assign(static_cast<std::size_t>(n_), 0);
+  cbuf_.assign(solve_tmp_.size(), 0.0);
+
   // Contiguity flags: an update whose rows sit consecutively in the target
-  // panel (checked once here against a scratch relmap) skips the gather/
-  // scatter path in ProcessSupernode.
+  // panel (checked once here against relmap_) skips the gather/scatter path
+  // in ProcessSupernode.
   sn_upd_contig_.assign(nupd, 0);
   sn_upd_base_.assign(nupd, 0);
-  {
-    std::vector<std::int32_t> relmap(static_cast<std::size_t>(n_), 0);
-    for (int t = 0; t < nsup; ++t) {
-      const std::int64_t tbeg = sn_rows_ptr_[static_cast<std::size_t>(t)];
-      const std::int64_t tlen =
-          sn_rows_ptr_[static_cast<std::size_t>(t) + 1] - tbeg;
-      for (std::int64_t i = 0; i < tlen; ++i) {
-        relmap[static_cast<std::size_t>(
-            sn_rows_[static_cast<std::size_t>(tbeg + i)])] =
-            static_cast<std::int32_t>(i);
+  for (int t = 0; t < nsup; ++t) {
+    const std::int64_t tbeg = sn_rows_ptr_[static_cast<std::size_t>(t)];
+    const std::int64_t tlen =
+        sn_rows_ptr_[static_cast<std::size_t>(t) + 1] - tbeg;
+    for (std::int64_t i = 0; i < tlen; ++i) {
+      relmap_[static_cast<std::size_t>(
+          sn_rows_[static_cast<std::size_t>(tbeg + i)])] =
+          static_cast<std::int32_t>(i);
+    }
+    for (std::int64_t e = sn_upd_ptr_[static_cast<std::size_t>(t)];
+         e < sn_upd_ptr_[static_cast<std::size_t>(t) + 1]; ++e) {
+      const std::int32_t src = sn_upd_src_[static_cast<std::size_t>(e)];
+      const std::int64_t u0 = sn_upd_begin_[static_cast<std::size_t>(e)];
+      const std::int64_t srbeg = sn_rows_ptr_[static_cast<std::size_t>(src)];
+      const std::int64_t srlen =
+          sn_rows_ptr_[static_cast<std::size_t>(src) + 1] - srbeg;
+      const std::int32_t* srows = sn_rows_.data() + srbeg;
+      const std::int32_t base = relmap_[static_cast<std::size_t>(srows[u0])];
+      bool contig = true;
+      for (std::int64_t i = u0 + 1; i < srlen && contig; ++i) {
+        contig = relmap_[static_cast<std::size_t>(srows[i])] ==
+                 base + static_cast<std::int32_t>(i - u0);
       }
-      for (std::int64_t e = sn_upd_ptr_[static_cast<std::size_t>(t)];
-           e < sn_upd_ptr_[static_cast<std::size_t>(t) + 1]; ++e) {
-        const std::int32_t src = sn_upd_src_[static_cast<std::size_t>(e)];
-        const std::int64_t u0 = sn_upd_begin_[static_cast<std::size_t>(e)];
-        const std::int64_t srbeg =
-            sn_rows_ptr_[static_cast<std::size_t>(src)];
-        const std::int64_t srlen =
-            sn_rows_ptr_[static_cast<std::size_t>(src) + 1] - srbeg;
-        const std::int32_t* srows = sn_rows_.data() + srbeg;
-        const std::int32_t base =
-            relmap[static_cast<std::size_t>(srows[u0])];
-        bool contig = true;
-        for (std::int64_t i = u0 + 1; i < srlen && contig; ++i) {
-          contig = relmap[static_cast<std::size_t>(srows[i])] ==
-                   base + static_cast<std::int32_t>(i - u0);
-        }
-        sn_upd_contig_[static_cast<std::size_t>(e)] = contig ? 1 : 0;
-        sn_upd_base_[static_cast<std::size_t>(e)] = base;
-      }
+      sn_upd_contig_[static_cast<std::size_t>(e)] = contig ? 1 : 0;
+      sn_upd_base_[static_cast<std::size_t>(e)] = base;
     }
-  }
-
-  // Subtree work under the supernodal parent relation (parent holds the
-  // first below row; every update flows to an ancestor, so any partition
-  // into whole subtrees is data-race free).
-  std::vector<std::int32_t> parent(static_cast<std::size_t>(nsup), -1);
-  for (int s = 0; s < nsup; ++s) {
-    const std::int32_t width = sn_start_[static_cast<std::size_t>(s) + 1] -
-                               sn_start_[static_cast<std::size_t>(s)];
-    const std::int64_t rbeg = sn_rows_ptr_[static_cast<std::size_t>(s)];
-    if (rbeg + width < sn_rows_ptr_[static_cast<std::size_t>(s) + 1]) {
-      parent[static_cast<std::size_t>(s)] = sn_of_col_[static_cast<std::size_t>(
-          sn_rows_[static_cast<std::size_t>(rbeg + width)])];
-    }
-  }
-  std::vector<double> subtree(work);
-  double total = 0.0;
-  for (int s = 0; s < nsup; ++s) {
-    if (parent[static_cast<std::size_t>(s)] >= 0) {
-      subtree[static_cast<std::size_t>(
-          parent[static_cast<std::size_t>(s)])] +=
-          subtree[static_cast<std::size_t>(s)];
-    } else {
-      total += subtree[static_cast<std::size_t>(s)];
-    }
-  }
-
-  // Task roots: maximal subtrees below the trunk cut. Everything whose
-  // subtree exceeds the cut is trunk, processed sequentially after the
-  // chunk barrier in ascending order (parents follow children).
-  const double cut = total / kTrunkCut;
-  std::vector<std::int32_t> roots;
-  for (int s = 0; s < nsup; ++s) {
-    const std::int32_t p = parent[static_cast<std::size_t>(s)];
-    if (subtree[static_cast<std::size_t>(s)] <= cut &&
-        (p < 0 || subtree[static_cast<std::size_t>(p)] > cut)) {
-      roots.push_back(s);
-    }
-  }
-  // Deterministic LPT packing of task roots into at most kMaxChunks chunks:
-  // heaviest first (ties on index), each to the least-loaded chunk (ties on
-  // the lowest chunk). Independent of the worker count, so any jobs value
-  // produces the same chunks — determinism then follows from the fixed
-  // per-target update order alone.
-  const int nchunks =
-      std::min<int>(kMaxChunks, std::max<int>(1, static_cast<int>(
-                                                     roots.size())));
-  std::vector<std::int32_t> by_work(roots);
-  std::stable_sort(by_work.begin(), by_work.end(),
-                   [&](std::int32_t x, std::int32_t y) {
-                     return subtree[static_cast<std::size_t>(x)] >
-                            subtree[static_cast<std::size_t>(y)];
-                   });
-  std::vector<double> load(static_cast<std::size_t>(nchunks), 0.0);
-  std::vector<int> chunk_of_root(static_cast<std::size_t>(nsup), 0);
-  for (const std::int32_t r : by_work) {
-    int best = 0;
-    for (int c = 1; c < nchunks; ++c) {
-      if (load[static_cast<std::size_t>(c)] <
-          load[static_cast<std::size_t>(best)]) {
-        best = c;
-      }
-    }
-    load[static_cast<std::size_t>(best)] +=
-        subtree[static_cast<std::size_t>(r)];
-    chunk_of_root[static_cast<std::size_t>(r)] = best;
-  }
-  // Mark each task subtree with its root's chunk. Descendants of a task
-  // root are exactly the supernodes whose parent is already marked (scan
-  // descending: children have smaller indices than parents).
-  std::vector<int> chunk_of(static_cast<std::size_t>(nsup), -1);
-  for (const std::int32_t r : roots) {
-    chunk_of[static_cast<std::size_t>(r)] =
-        chunk_of_root[static_cast<std::size_t>(r)];
-  }
-  for (int s = nsup - 1; s >= 0; --s) {
-    const std::int32_t p = parent[static_cast<std::size_t>(s)];
-    if (chunk_of[static_cast<std::size_t>(s)] < 0 && p >= 0 &&
-        chunk_of[static_cast<std::size_t>(p)] >= 0) {
-      chunk_of[static_cast<std::size_t>(s)] =
-          chunk_of[static_cast<std::size_t>(p)];
-    }
-  }
-  sn_chunk_ptr_.assign(static_cast<std::size_t>(nchunks) + 1, 0);
-  for (int s = 0; s < nsup; ++s) {
-    if (chunk_of[static_cast<std::size_t>(s)] >= 0) {
-      ++sn_chunk_ptr_[static_cast<std::size_t>(
-          chunk_of[static_cast<std::size_t>(s)]) + 1];
-    }
-  }
-  for (int c = 0; c < nchunks; ++c) {
-    sn_chunk_ptr_[static_cast<std::size_t>(c) + 1] +=
-        sn_chunk_ptr_[static_cast<std::size_t>(c)];
-  }
-  sn_chunk_.assign(static_cast<std::size_t>(sn_chunk_ptr_.back()), 0);
-  std::vector<std::int64_t> cfill(sn_chunk_ptr_.begin(),
-                                  sn_chunk_ptr_.end() - 1);
-  sn_trunk_.clear();
-  for (int s = 0; s < nsup; ++s) {  // ascending: children before parents
-    const int c = chunk_of[static_cast<std::size_t>(s)];
-    if (c >= 0) {
-      sn_chunk_[static_cast<std::size_t>(cfill[static_cast<std::size_t>(c)]++)] =
-          s;
-    } else {
-      sn_trunk_.push_back(s);
-    }
-  }
-
-  chunk_scratch_.assign(static_cast<std::size_t>(nchunks) + 1,
-                        ChunkScratch{});
-  for (ChunkScratch& cs : chunk_scratch_) {
-    cs.relmap.assign(static_cast<std::size_t>(n_), 0);
-    cs.cbuf.assign(solve_tmp_.size(), 0.0);
   }
 }
 
@@ -878,30 +744,16 @@ bool SparseNormalFactor::FactorAttemptSupernodal(double reg) {
     }
   }
 
-  const int nchunks = static_cast<int>(sn_chunk_ptr_.size()) - 1;
-  std::atomic<bool> failed{false};
-  ParallelFor(nchunks, jobs_, [&](int c) {
-    ChunkScratch& cs = chunk_scratch_[static_cast<std::size_t>(c)];
-    for (std::int64_t p = sn_chunk_ptr_[static_cast<std::size_t>(c)];
-         p < sn_chunk_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      if (!ProcessSupernode(sn_chunk_[static_cast<std::size_t>(p)],
-                            cs.relmap.data(), cs.cbuf.data())) {
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  });
-  if (failed.load(std::memory_order_relaxed)) return false;
-  ChunkScratch& ts = chunk_scratch_.back();
-  for (const std::int32_t s : sn_trunk_) {
-    if (!ProcessSupernode(s, ts.relmap.data(), ts.cbuf.data())) return false;
+  // Ascending supernode order puts every child before its parent, and each
+  // target pulls its updates in the fixed sn_upd_* order.
+  const int nsup = NumSupernodes();
+  for (int s = 0; s < nsup; ++s) {
+    if (!ProcessSupernode(s)) return false;
   }
   return true;
 }
 
-bool SparseNormalFactor::ProcessSupernode(int s, std::int32_t* relmap,
-                                          double* cbuf) {
+bool SparseNormalFactor::ProcessSupernode(int s) {
   const std::int32_t first = sn_start_[static_cast<std::size_t>(s)];
   const std::int64_t width =
       sn_start_[static_cast<std::size_t>(s) + 1] - first;
@@ -910,6 +762,8 @@ bool SparseNormalFactor::ProcessSupernode(int s, std::int32_t* relmap,
                             rbeg;
   const std::int32_t* rows = sn_rows_.data() + rbeg;
   double* panel = sn_val_.data() + sn_panel_ptr_[static_cast<std::size_t>(s)];
+  std::int32_t* relmap = relmap_.data();
+  double* cbuf = cbuf_.data();
   bool relmap_filled = false;  // filled lazily: contiguous updates skip it
 
   // Pull the scheduled descendant updates. Per pivot row uj the update

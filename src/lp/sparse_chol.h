@@ -32,10 +32,9 @@
 //    are amalgamated into supernodes and factored as dense column-major
 //    panels. Descendant contributions are pulled through a static per-target
 //    update schedule whose source/row slices are contiguous panel ranges, so
-//    the rank-k inner loops vectorize; independent elimination-tree subtrees
-//    are packed into deterministic chunks and run on ParallelFor. Because
-//    each target applies its updates in the fixed schedule order, the result
-//    is bitwise identical at any worker count (DESIGN.md section 16).
+//    the rank-k inner loops vectorize. The factor is serial: supernodes run
+//    in ascending order (children before parents) and each target applies
+//    its updates in the fixed schedule order (DESIGN.md section 16).
 
 #ifndef LUBT_LP_SPARSE_CHOL_H_
 #define LUBT_LP_SPARSE_CHOL_H_
@@ -82,11 +81,10 @@ class SparseNormalFactor {
   bool Factor(const CompiledLpModel& a, std::span<const double> row_weight,
               std::span<const double> diag);
 
-  /// Select the numeric kernel and (for the supernodal kernel) the worker
-  /// count. Does not invalidate the symbolic analysis; both kernels run on
-  /// the same cached structures, so a mode switch between Factor calls is
-  /// free. `jobs` is clamped to at least 1.
-  void SetMode(IpmFactorMode mode, int jobs);
+  /// Select the numeric kernel. Does not invalidate the symbolic analysis;
+  /// both kernels run on the same cached structures, so a mode switch
+  /// between Factor calls is free.
+  void SetMode(IpmFactorMode mode);
   IpmFactorMode mode() const { return mode_; }
 
   /// Diagonal-regularization retries spent by the last Factor call.
@@ -135,9 +133,8 @@ class SparseNormalFactor {
   void BuildSupernodes(const std::vector<std::int64_t>& count);
   void BuildSchedule();
   bool FactorAttemptSupernodal(double reg);
-  // Pull scheduled updates into supernode s's panel and factor it. relmap
-  // and cbuf are per-chunk scratch (relmap size n_, cbuf max panel rows).
-  bool ProcessSupernode(int s, std::int32_t* relmap, double* cbuf);
+  // Pull scheduled updates into supernode s's panel and factor it.
+  bool ProcessSupernode(int s);
   void SolveSimplicial(std::span<double> b) const;
   void SolveSupernodal(std::span<double> b) const;
 
@@ -203,22 +200,14 @@ class SparseNormalFactor {
   // (which is then only filled for targets with scattered updates).
   std::vector<char> sn_upd_contig_;
   std::vector<std::int32_t> sn_upd_base_;
-  // Deterministic subtree chunks (independent; run under ParallelFor) and
-  // the sequential trunk processed after the chunk barrier.
-  std::vector<std::int64_t> sn_chunk_ptr_;
-  std::vector<std::int32_t> sn_chunk_;
-  std::vector<std::int32_t> sn_trunk_;
-  // Per-chunk scratch, preallocated at analysis time so the numeric factor
-  // never allocates (slot sn_chunk_ptr_.size()-1 serves the trunk).
-  struct ChunkScratch {
-    std::vector<std::int32_t> relmap;
-    std::vector<double> cbuf;
-  };
-  std::vector<ChunkScratch> chunk_scratch_;
+  // Factor scratch, sized at analysis time so the numeric factor never
+  // allocates: relmap_ (size n_) maps a target's rows to panel offsets,
+  // cbuf_ (max |R_s|) stages one update column.
+  std::vector<std::int32_t> relmap_;
+  std::vector<double> cbuf_;
   mutable std::vector<double> solve_tmp_;  // max |R_s| gather buffer
 
   IpmFactorMode mode_ = IpmFactorMode::kSupernodal;
-  int jobs_ = 1;
   bool factored_supernodal_ = false;  // which kernel produced the last factor
 
   int attempts_ = 0;

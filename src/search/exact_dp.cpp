@@ -132,7 +132,6 @@ ExactScore ExactTopologyScore(const Topology& topo,
   opts.strategy = EbfStrategy::kFullRows;
   opts.lp.engine = LpEngine::kSimplex;
   opts.use_zero_skew_fast_path = false;
-  opts.use_presolve = false;
   const EbfSolveResult res = SolveEbf(prob, opts);
   if (!res.ok()) {
     out.status = res.status;

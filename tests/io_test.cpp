@@ -43,6 +43,17 @@ TEST(SinkSetTest, ParseErrors) {
   EXPECT_FALSE(ParseSinkSet("bogus 1 2\n").ok());           // unknown record
   EXPECT_FALSE(ParseSinkSet("source 0 0\nsource 1 1\nsink 1 2\n").ok());
   EXPECT_FALSE(ParseSinkSet("name\nsink 1 2\n").ok());      // empty name
+  // Trailing tokens are rejected with a line diagnostic, not ignored.
+  ASSERT_TRUE(ParseSinkSet("sink 1 2 # comment\n").ok());
+  for (const char* text :
+       {"sink 1 2\nsink 1 2 3\n", "sink 1 2\nsink 1 2abc\n",
+        "sink 1 2\nsource 0 0 0\n", "sink 1 2\nname a b\n"}) {
+    const Result<SinkSet> parsed = ParseSinkSet(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().message().find("line 2: trailing token"),
+              std::string::npos)
+        << parsed.status();
+  }
 }
 
 TEST(SinkSetTest, RoundTripThroughText) {

@@ -1,5 +1,5 @@
 // LP solver tests: simplex and interior-point engines, cross-checked
-// against each other and against hand-solved problems; presolve; lazy rows.
+// against each other and against hand-solved problems; lazy rows.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "lp/interior_point.h"
 #include "lp/lazy_row_solver.h"
 #include "lp/model.h"
-#include "lp/presolve.h"
 #include "lp/sparse_chol.h"
 #include "util/rng.h"
 
@@ -205,52 +204,6 @@ TEST_P(LpCrossCheckTest, SimplexAndIpmAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpCrossCheckTest, ::testing::Range(1, 26));
-
-// ---- Presolve --------------------------------------------------------------
-
-TEST(PresolveTest, DropsTrivialRows) {
-  LpModel m(2);
-  m.SetObjective(0, 1.0);
-  m.SetObjective(1, 1.0);
-  AddGe(m, {0, 1}, {1.0, 1.0}, -1.0);  // implied by x >= 0
-  AddGe(m, {0, 1}, {1.0, 1.0}, 0.0);   // implied by x >= 0
-  AddGe(m, {0}, {1.0}, 2.0);           // real
-  PresolveStats stats;
-  const LpModel reduced = Presolve(m, &stats);
-  EXPECT_EQ(stats.trivial_rows_dropped, 2);
-  EXPECT_EQ(reduced.NumRows(), 1);
-  const LpSolution s = SolveLp(reduced, Simplex());
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.objective, 2.0, 1e-8);
-}
-
-TEST(PresolveTest, MergesDuplicateRows) {
-  LpModel m(2);
-  m.SetObjective(0, 1.0);
-  m.SetObjective(1, 1.0);
-  AddGe(m, {0, 1}, {1.0, 1.0}, 2.0);
-  AddGe(m, {0, 1}, {1.0, 1.0}, 3.0);  // tighter duplicate
-  m.AddRow(std::vector<std::int32_t>{0, 1}, std::vector<double>{1.0, 1.0},
-           -kLpInf, 9.0);
-  PresolveStats stats;
-  const LpModel reduced = Presolve(m, &stats);
-  EXPECT_EQ(stats.duplicate_rows_merged, 2);
-  EXPECT_EQ(reduced.NumRows(), 1);
-  const LpSolution s = SolveLp(reduced, Simplex());
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s.objective, 3.0, 1e-8);
-}
-
-TEST(PresolveTest, PreservesInfeasibility) {
-  LpModel m(1);
-  m.SetObjective(0, 1.0);
-  AddGe(m, {0}, {1.0}, 5.0);
-  m.AddRow(std::vector<std::int32_t>{0}, std::vector<double>{1.0}, -kLpInf,
-           1.0);
-  const LpModel reduced = Presolve(m);
-  const LpSolution s = SolveLp(reduced, Simplex());
-  EXPECT_EQ(s.status.code(), StatusCode::kInfeasible);
-}
 
 // ---- Lazy row generation ----------------------------------------------------
 
@@ -446,8 +399,8 @@ TEST(SymbolicReuseTest, AppendedRowsInsidePatternReuseTheAnalysis) {
 // supernodal kernel solves the same normal equations as the simplicial
 // oracle on random instances, stays equivalent across repeated
 // refactorizations with changed scalings (the warm Newton loop) and across
-// pattern-preserving row appends, and is bitwise deterministic in the
-// worker count.
+// pattern-preserving row appends, and reuses its factor scratch without
+// carrying state from one refactorization into the next.
 
 void RandomScalings(Rng& rng, const CompiledLpModel& a, std::vector<double>* w,
                     std::vector<double>* d) {
@@ -487,10 +440,10 @@ TEST_P(SupernodalFactorTest, MatchesSimplicialOnRandomInstances) {
 
   SparseNormalFactor simp;
   simp.Analyze(a);
-  simp.SetMode(IpmFactorMode::kSimplicial, 1);
+  simp.SetMode(IpmFactorMode::kSimplicial);
   SparseNormalFactor sup;
   sup.Analyze(a);
-  sup.SetMode(IpmFactorMode::kSupernodal, 1);
+  sup.SetMode(IpmFactorMode::kSupernodal);
   ASSERT_GT(sup.NumSupernodes(), 0);
   ASSERT_GE(sup.PanelNnz(), sup.FillNnz());
 
@@ -498,30 +451,6 @@ TEST_P(SupernodalFactorTest, MatchesSimplicialOnRandomInstances) {
   std::vector<double> d;
   RandomScalings(rng, a, &w, &d);
   ExpectClose(FactorAndSolve(simp, a, w, d), FactorAndSolve(sup, a, w, d));
-}
-
-TEST_P(SupernodalFactorTest, WorkerCountIsBitwiseIrrelevant) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 5);
-  const int n = 64 + static_cast<int>(rng.UniformInt(128));
-  LpModel m = RandomBandedModel(rng, n, 3 * n);
-  const CompiledLpModel& a = m.Compiled();
-
-  SparseNormalFactor serial;
-  serial.Analyze(a);
-  serial.SetMode(IpmFactorMode::kSupernodal, 1);
-  SparseNormalFactor threaded;
-  threaded.Analyze(a);
-  threaded.SetMode(IpmFactorMode::kSupernodal, 4);
-
-  std::vector<double> w;
-  std::vector<double> d;
-  RandomScalings(rng, a, &w, &d);
-  const std::vector<double> x1 = FactorAndSolve(serial, a, w, d);
-  const std::vector<double> x4 = FactorAndSolve(threaded, a, w, d);
-  ASSERT_EQ(x1.size(), x4.size());
-  for (std::size_t i = 0; i < x1.size(); ++i) {
-    EXPECT_EQ(x1[i], x4[i]) << "component " << i;  // bitwise, not approximate
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SupernodalFactorTest, ::testing::Range(1, 9));
@@ -536,10 +465,10 @@ TEST(SupernodalFactorTest, RepeatedRefactorsOnOneAnalysisStayEquivalent) {
 
   SparseNormalFactor simp;
   simp.Analyze(a);
-  simp.SetMode(IpmFactorMode::kSimplicial, 1);
+  simp.SetMode(IpmFactorMode::kSimplicial);
   SparseNormalFactor sup;
   sup.Analyze(a);
-  sup.SetMode(IpmFactorMode::kSupernodal, 2);
+  sup.SetMode(IpmFactorMode::kSupernodal);
   SparseNormalFactor flip;  // alternates kernels across rounds
   flip.Analyze(a);
 
@@ -550,9 +479,38 @@ TEST(SupernodalFactorTest, RepeatedRefactorsOnOneAnalysisStayEquivalent) {
     const std::vector<double> ref = FactorAndSolve(simp, a, w, d);
     ExpectClose(ref, FactorAndSolve(sup, a, w, d));
     flip.SetMode(round % 2 == 0 ? IpmFactorMode::kSupernodal
-                                : IpmFactorMode::kSimplicial,
-                 1 + round % 3);
+                                : IpmFactorMode::kSimplicial);
     ExpectClose(ref, FactorAndSolve(flip, a, w, d));
+  }
+}
+
+TEST(SupernodalFactorTest, ReusedScratchIsBitwiseStable) {
+  // The supernodal factor keeps one relmap/cbuf scratch across supernodes
+  // and across Factor calls; a refactor must not depend on what an earlier
+  // one left behind.
+  Rng rng(73);
+  LpModel m = RandomBandedModel(rng, 160, 480);
+  const CompiledLpModel& a = m.Compiled();
+  std::vector<double> w1;
+  std::vector<double> d1;
+  std::vector<double> w2;
+  std::vector<double> d2;
+  RandomScalings(rng, a, &w1, &d1);
+  RandomScalings(rng, a, &w2, &d2);
+
+  SparseNormalFactor reused;
+  reused.Analyze(a);
+  const std::vector<double> first = FactorAndSolve(reused, a, w1, d1);
+  FactorAndSolve(reused, a, w2, d2);
+  const std::vector<double> again = FactorAndSolve(reused, a, w1, d1);
+  SparseNormalFactor fresh;
+  fresh.Analyze(a);
+  const std::vector<double> ref = FactorAndSolve(fresh, a, w1, d1);
+  ASSERT_EQ(first.size(), ref.size());
+  ASSERT_EQ(again.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(first[i], ref[i]) << "component " << i;  // bitwise
+    EXPECT_EQ(again[i], ref[i]) << "component " << i;
   }
 }
 
@@ -564,10 +522,10 @@ TEST(SupernodalFactorTest, PatternPreservingAppendKeepsModesEquivalent) {
   LpModel m = RandomBandedModel(rng, 80, 240);
   SparseNormalFactor simp;
   simp.Analyze(m.Compiled());
-  simp.SetMode(IpmFactorMode::kSimplicial, 1);
+  simp.SetMode(IpmFactorMode::kSimplicial);
   SparseNormalFactor sup;
   sup.Analyze(m.Compiled());
-  sup.SetMode(IpmFactorMode::kSupernodal, 2);
+  sup.SetMode(IpmFactorMode::kSupernodal);
 
   SparseRow dup = m.Row(3);  // same support => same pattern
   dup.lo *= 0.5;
@@ -592,10 +550,10 @@ TEST(SupernodalFactorTest, PatternPreservingAppendKeepsModesEquivalent) {
   EXPECT_FALSE(sup.TryExtend(a2));
   SparseNormalFactor fresh;
   fresh.Analyze(a2);
-  fresh.SetMode(IpmFactorMode::kSupernodal, 1);
+  fresh.SetMode(IpmFactorMode::kSupernodal);
   SparseNormalFactor fresh_simp;
   fresh_simp.Analyze(a2);
-  fresh_simp.SetMode(IpmFactorMode::kSimplicial, 1);
+  fresh_simp.SetMode(IpmFactorMode::kSimplicial);
   RandomScalings(rng, a2, &w, &d);
   ExpectClose(FactorAndSolve(fresh_simp, a2, w, d),
               FactorAndSolve(fresh, a2, w, d));
@@ -610,7 +568,6 @@ TEST(SupernodalFactorTest, EngineObjectiveMatchesAcrossModes) {
   simp.factor_mode = IpmFactorMode::kSimplicial;
   LpSolverOptions sup = Ipm();
   sup.factor_mode = IpmFactorMode::kSupernodal;
-  sup.factor_jobs = 2;
   const LpSolution a = SolveLp(m, simp);
   const LpSolution b = SolveLp(m, sup);
   ASSERT_TRUE(a.ok()) << a.status;

@@ -125,6 +125,21 @@ TEST(TreeIoTest, MalformedFilesRejected) {
                                  "node 0 -1 -1 0\nnode 1 -1 -1 1\n"
                                  "node 2 0 1 -1\nroot 2\n")
                    .ok());
+  // Trailing tokens on any record, with a line diagnostic.
+  const std::string body =
+      "mode free\nnode 0 -1 -1 0\nnode 1 -1 -1 1\nnode 2 0 1 -1\n";
+  ASSERT_TRUE(ParseTreeSolution("tree v1\n" + body + "root 2\n").ok());
+  for (const std::string& text :
+       {"tree v1 extra\n" + body + "root 2\n",
+        "tree v1\n" + body + "root 2 7\n",
+        "tree v1\n" + body + "root 2\nedge 0 1.5 x\n",
+        "tree v1\nmode free free\n" + body.substr(10) + "root 2\n"}) {
+    const Result<TreeSolution> parsed = ParseTreeSolution(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().message().find("trailing token"),
+              std::string::npos)
+        << parsed.status();
+  }
   // Missing file.
   EXPECT_FALSE(LoadTreeSolution("/no/such/file.tree").ok());
 }

@@ -119,8 +119,8 @@ for preset in "${presets[@]}"; do
 
     # 16k-sink envelope gates (default preset only: sanitizer builds are
     # not timings). lp_scaling --kernel refactors the 4096/16384-sink
-    # normal equations supernodal vs simplicial and enforces the
-    # hardware-aware speedup floor plus Solve() equivalence;
+    # normal equations supernodal vs simplicial (both serial) and enforces
+    # the >= 1.1x speedup floor at >= 4096 sinks plus Solve() equivalence;
     # separation_scaling --big runs the sampled 16k protocol (SoA vs
     # round-0 brute force) with bitwise row agreement and its own speedup
     # floor. BIG_SINKS overrides the separation size (e.g. 4096 for a quick

@@ -119,7 +119,6 @@ CaseConfig DrawCase(std::uint64_t seed, int min_sinks, int max_sinks) {
   const double strategy_draw = rng.Uniform();
   if (c.num_sinks <= 24 && strategy_draw < 0.3) {
     c.options.strategy = EbfStrategy::kFullRows;
-    c.options.use_presolve = rng.Bernoulli(0.5);
   } else if (c.num_sinks <= 32 && strategy_draw < 0.5) {
     c.options.strategy = EbfStrategy::kReducedRows;
   } else {
@@ -129,8 +128,7 @@ CaseConfig DrawCase(std::uint64_t seed, int min_sinks, int max_sinks) {
   // Mostly the SoA octant oracle (the default), with a brute-force slice so
   // the sanitizers keep covering the reference path too. Same two-way split
   // for the NN-merge backend (grid SoA vs scan), and a
-  // supernodal-vs-simplicial (x factor-jobs) draw for the interior-point
-  // Cholesky — all of these are bitwise-equivalence contracts, so any
+  // supernodal-vs-simplicial draw for the interior-point Cholesky — any
   // divergence shows up as a validator or cross-check failure downstream.
   c.options.separation = rng.Uniform() < 0.25 ? SeparationMode::kBruteForce
                                               : SeparationMode::kOctantSoa;
@@ -138,7 +136,6 @@ CaseConfig DrawCase(std::uint64_t seed, int min_sinks, int max_sinks) {
                                     : NnMergeAccel::kGridSoa;
   c.options.lp.factor_mode = rng.Bernoulli(0.3) ? IpmFactorMode::kSimplicial
                                                 : IpmFactorMode::kSupernodal;
-  c.options.lp.factor_jobs = rng.Bernoulli(0.3) ? 2 : 1;
   return c;
 }
 
