@@ -12,7 +12,9 @@
 //
 // The kernel phase isolates the Newton-step bottleneck: one symbolic
 // analysis per instance, then repeated numeric Factor() calls per
-// IpmFactorMode on identical scalings, best-of-N timed. Both modes must
+// IpmFactorMode on identical scalings, best-of-N timed. The analysis itself
+// is timed the same way (analyze_ms, best of N Analyze() calls, no gate):
+// every lazy round that TryExtend cannot keep pays it again. Both modes must
 // produce the same Solve() result to 1e-6 relative (the factorizations
 // differ only in update-summation grouping). Both kernels are serial; the
 // supernodal kernel must clear the blocked-kernel floor of 1.1x at >= 4096
@@ -86,6 +88,7 @@ struct KernelResult {
   int sinks = 0;
   int cols = 0;
   int reps = 0;
+  double analyze_ms = 0.0;     ///< best-of-reps single Analyze() wall time
   double supernodal_ms = 0.0;  ///< best-of-reps single Factor() wall time
   double simplicial_ms = 0.0;
   std::int64_t fill_nnz = 0;
@@ -203,6 +206,14 @@ bool RunKernel(int sinks, std::uint64_t seed, KernelResult* out) {
     diag[i] = 1e-3 + 0.1 * static_cast<double>(i % 5);
   }
 
+  SparseNormalFactor probe;
+  for (int r = 0; r < out->reps; ++r) {
+    Timer t;
+    probe.Analyze(a);
+    const double ms = t.Seconds() * 1e3;
+    if (r == 0 || ms < out->analyze_ms) out->analyze_ms = ms;
+  }
+
   std::vector<double> x_ref;
   for (const IpmFactorMode mode :
        {IpmFactorMode::kSimplicial, IpmFactorMode::kSupernodal}) {
@@ -284,10 +295,12 @@ void WriteJson(const std::string& path, const std::string& mode,
     std::fprintf(
         f,
         "    {\"sinks\": %d, \"cols\": %d, \"reps\": %d, "
+        "\"analyze_ms\": %.4f, "
         "\"simplicial_ms\": %.4f, \"supernodal_ms\": %.4f, "
         "\"speedup\": %.3f, \"fill_nnz\": %lld, \"panel_nnz\": %lld, "
         "\"supernodes\": %d, \"solve_rel_diff\": %.3g}%s\n",
-        r.sinks, r.cols, r.reps, r.simplicial_ms, r.supernodal_ms,
+        r.sinks, r.cols, r.reps, r.analyze_ms, r.simplicial_ms,
+        r.supernodal_ms,
         r.Speedup(), static_cast<long long>(r.fill_nnz),
         static_cast<long long>(r.panel_nnz), r.supernodes, r.solve_rel_diff,
         k + 1 < kernels.size() ? "," : "");
@@ -361,14 +374,16 @@ int main(int argc, char** argv) {
   }
 
   std::vector<KernelResult> kernels;
-  TextTable ktable({"sinks", "cols", "simplicial(ms)", "supernodal(ms)",
-                    "speedup", "supernodes", "fill_nnz", "panel_nnz"});
+  TextTable ktable({"sinks", "cols", "analyze(ms)", "simplicial(ms)",
+                    "supernodal(ms)", "speedup", "supernodes", "fill_nnz",
+                    "panel_nnz"});
   for (const int sinks : kernel_sizes) {
     KernelResult kr;
     if (!RunKernel(sinks, static_cast<std::uint64_t>(*seed), &kr)) {
       ok = false;
     }
     ktable.AddRow({std::to_string(kr.sinks), std::to_string(kr.cols),
+                   FormatDouble(kr.analyze_ms, 3),
                    FormatDouble(kr.simplicial_ms, 3),
                    FormatDouble(kr.supernodal_ms, 3),
                    FormatDouble(kr.Speedup(), 2),
@@ -379,7 +394,8 @@ int main(int argc, char** argv) {
   }
   if (!kernel_sizes.empty()) {
     std::printf(
-        "\n=== Factor kernel: supernodal vs simplicial ===\n%s",
+        "\n=== Symbolic analysis and factor kernel: supernodal vs "
+        "simplicial ===\n%s",
         ktable.ToString().c_str());
   }
 

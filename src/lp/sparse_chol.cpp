@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 
 #include "check/dcheck.h"
@@ -102,7 +103,9 @@ std::vector<std::int32_t> MinDegreeOrder(const CompiledLpModel& a) {
         member[static_cast<std::size_t>(u)].push_back(id);
       }
     }
-    // Stale heap keys of the neighbourhood self-correct on pop.
+    // Neighbourhood keys are not refreshed here: a key that is now too low
+    // self-corrects on pop, one that is too high does not (so the order is
+    // not exact minimum degree; the bitwise goldens pin it as it is).
   }
   LUBT_ASSERT(static_cast<int>(order.size()) == n);
   return order;
@@ -122,9 +125,9 @@ void SparseNormalFactor::Analyze(const CompiledLpModel& a) {
   // Compose an elimination-tree postorder onto the fill order. A postorder
   // is fill-equivalent (it only relabels within subtrees) but makes every
   // etree chain occupy adjacent columns, which is what lets the supernode
-  // partition find wide panels. The pattern is then rebuilt in the composed
-  // order; a postorder of the reordered tree is the identity, so the result
-  // is stable.
+  // partition find wide panels. The pattern is then relabelled into the
+  // composed order; a postorder of the reordered tree is the identity, so
+  // the result is stable.
   ComputeEtree();
   std::vector<std::int32_t> post = EtreePostOrder();
   bool identity = true;
@@ -142,74 +145,84 @@ void SparseNormalFactor::Analyze(const CompiledLpModel& a) {
       inv_perm_[static_cast<std::size_t>(
           perm_[static_cast<std::size_t>(k)])] = k;
     }
-    BuildPattern(a);
+    RelabelPattern(post);
   }
-
-  scatter_ptr_.assign(1, 0);
-  scatter_pos_.clear();
-  analyzed_rows_ = 0;
-  analyzed_nnz_ = 0;
-  const bool ok = AppendScatter(a, 0);
-  LUBT_ASSERT(ok);  // every pair was just inserted into the pattern
-  (void)ok;
-  BuildSymbolic();
-}
-
-void SparseNormalFactor::BuildPattern(const CompiledLpModel& a) {
-  // Pattern of the permuted normal matrix as sorted unique upper-triangle
-  // keys (column-major; the full diagonal is always present because every
-  // Newton system adds diag(z/x) > 0).
-  std::vector<std::int64_t> keys;
-  std::int64_t pair_count = 0;
-  for (int i = 0; i < a.num_rows; ++i) {
-    const std::int64_t len = a.row_ptr[static_cast<std::size_t>(i) + 1] -
-                             a.row_ptr[static_cast<std::size_t>(i)];
-    pair_count += len * (len + 1) / 2;
-  }
-  keys.reserve(static_cast<std::size_t>(pair_count) +
-               static_cast<std::size_t>(n_));
-  const std::int64_t nn = n_;
-  for (std::int64_t j = 0; j < nn; ++j) keys.push_back(j * nn + j);
-  for (int i = 0; i < a.num_rows; ++i) {
-    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
-    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (std::int64_t pa = begin; pa < end; ++pa) {
-      const std::int64_t ca =
-          inv_perm_[static_cast<std::size_t>(a.col[static_cast<std::size_t>(pa)])];
-      for (std::int64_t pb = begin; pb <= pa; ++pb) {
-        const std::int64_t cb = inv_perm_[static_cast<std::size_t>(
-            a.col[static_cast<std::size_t>(pb)])];
-        const std::int64_t r = std::min(ca, cb);
-        const std::int64_t c = std::max(ca, cb);
-        keys.push_back(c * nn + r);
-      }
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  up_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  up_row_.resize(keys.size());
-  for (std::size_t p = 0; p < keys.size(); ++p) {
-    const std::int64_t c = keys[p] / nn;
-    up_row_[p] = static_cast<std::int32_t>(keys[p] % nn);
-    ++up_ptr_[static_cast<std::size_t>(c) + 1];
-  }
-  for (int j = 0; j < n_; ++j) {
-    up_ptr_[static_cast<std::size_t>(j) + 1] +=
-        up_ptr_[static_cast<std::size_t>(j)];
-  }
-  up_val_.assign(keys.size(), 0.0);
+  up_val_.assign(up_row_.size(), 0.0);
   diag_pos_.assign(static_cast<std::size_t>(n_), 0);
   for (int j = 0; j < n_; ++j) {
     const std::size_t pj =
         static_cast<std::size_t>(inv_perm_[static_cast<std::size_t>(j)]);
-    // Rows ascend and max(row) == column, so the diagonal sits last.
     const std::int64_t pos = up_ptr_[pj + 1] - 1;
     LUBT_ASSERT(up_row_[static_cast<std::size_t>(pos)] ==
                 static_cast<std::int32_t>(pj));
     diag_pos_[static_cast<std::size_t>(j)] = pos;
   }
+
+  ScatterAll(a);
+  BuildSymbolic();
+}
+
+void SparseNormalFactor::BuildPattern(const CompiledLpModel& a) {
+  // Column sweep over A's cached CSC: column c of the permuted upper
+  // pattern holds every position inv_perm[k] < c of a column k that shares
+  // a row with perm[c]. A mark per position keeps each one once, one short
+  // sort per column makes the rows ascend, and the diagonal (always
+  // present, because every Newton system adds diag(z/x) > 0) goes last.
+  // Only up_ptr_/up_row_ are built; Analyze sizes values and diagonals once
+  // the pattern is final.
+  up_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  up_row_.clear();
+  std::vector<std::int32_t> mark(static_cast<std::size_t>(n_), -1);
+  for (std::int32_t c = 0; c < n_; ++c) {
+    const std::size_t first = up_row_.size();
+    const std::size_t j =
+        static_cast<std::size_t>(perm_[static_cast<std::size_t>(c)]);
+    for (std::int64_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+      const std::size_t i =
+          static_cast<std::size_t>(a.row[static_cast<std::size_t>(p)]);
+      for (std::int64_t q = a.row_ptr[i]; q < a.row_ptr[i + 1]; ++q) {
+        const std::int32_t r = inv_perm_[static_cast<std::size_t>(
+            a.col[static_cast<std::size_t>(q)])];
+        if (r < c && mark[static_cast<std::size_t>(r)] != c) {
+          mark[static_cast<std::size_t>(r)] = c;
+          up_row_.push_back(r);
+        }
+      }
+    }
+    std::sort(up_row_.begin() + static_cast<std::ptrdiff_t>(first),
+              up_row_.end());
+    up_row_.push_back(c);
+    up_ptr_[static_cast<std::size_t>(c) + 1] =
+        static_cast<std::int64_t>(up_row_.size());
+  }
+}
+
+void SparseNormalFactor::RelabelPattern(const std::vector<std::int32_t>& post) {
+  // Column k takes old column post[k] with every row relabelled. An entry
+  // (r, c), r < c, makes r an elimination-tree descendant of c, and a
+  // postorder numbers descendants first, so the relabelled rows stay above
+  // the diagonal; one short sort per column restores ascending order.
+  std::vector<std::int32_t> relabel(static_cast<std::size_t>(n_), 0);
+  for (int k = 0; k < n_; ++k) {
+    relabel[static_cast<std::size_t>(post[static_cast<std::size_t>(k)])] = k;
+  }
+  std::vector<std::int64_t> ptr(static_cast<std::size_t>(n_) + 1, 0);
+  std::vector<std::int32_t> rows;
+  rows.reserve(up_row_.size());
+  for (int k = 0; k < n_; ++k) {
+    const std::size_t old =
+        static_cast<std::size_t>(post[static_cast<std::size_t>(k)]);
+    for (std::int64_t p = up_ptr_[old]; p < up_ptr_[old + 1]; ++p) {
+      rows.push_back(relabel[static_cast<std::size_t>(
+          up_row_[static_cast<std::size_t>(p)])]);
+    }
+    std::sort(rows.begin() + ptr[static_cast<std::size_t>(k)], rows.end());
+    ptr[static_cast<std::size_t>(k) + 1] =
+        static_cast<std::int64_t>(rows.size());
+  }
+  // Copy back rather than move, so the members keep their storage.
+  up_ptr_ = ptr;
+  up_row_.assign(rows.begin(), rows.end());
 }
 
 void SparseNormalFactor::ComputeEtree() {
@@ -277,6 +290,68 @@ std::vector<std::int32_t> SparseNormalFactor::EtreePostOrder() const {
   return post;
 }
 
+void SparseNormalFactor::ScatterAll(const CompiledLpModel& a) {
+  // Row i's pair (ia, ib), ib <= ia, lives at scatter_ptr_[i] +
+  // ia (ia + 1) / 2 + ib. Each pair belongs to the later of its two
+  // permuted columns, so one sweep over the columns c, with a dense map from
+  // row to position in column c's pattern, writes every slot exactly once.
+  const std::size_t rows = static_cast<std::size_t>(a.num_rows);
+  scatter_ptr_.assign(rows + 1, 0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::int64_t len = a.row_ptr[i + 1] - a.row_ptr[i];
+    scatter_ptr_[i + 1] = scatter_ptr_[i] + len * (len + 1) / 2;
+  }
+  constexpr std::int32_t kMaxPos = std::numeric_limits<std::int32_t>::max();
+  LUBT_ASSERT(up_row_.size() <= static_cast<std::size_t>(kMaxPos));
+  scatter_pos_.assign(static_cast<std::size_t>(scatter_ptr_.back()), -1);
+
+  // Local index within its row of every CSC entry: replaying the CSC's
+  // counting sort visits each column's rows in the same ascending order.
+  std::vector<std::int32_t> local(a.row.size(), 0);
+  std::vector<std::int64_t> cursor(a.col_ptr.begin(), a.col_ptr.end() - 1);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::int64_t q = a.row_ptr[i]; q < a.row_ptr[i + 1]; ++q) {
+      const std::size_t j =
+          static_cast<std::size_t>(a.col[static_cast<std::size_t>(q)]);
+      local[static_cast<std::size_t>(cursor[j]++)] =
+          static_cast<std::int32_t>(q - a.row_ptr[i]);
+    }
+  }
+
+  std::vector<std::int32_t> where(static_cast<std::size_t>(n_), -1);
+  for (std::int32_t c = 0; c < n_; ++c) {
+    for (std::int64_t p = up_ptr_[static_cast<std::size_t>(c)];
+         p < up_ptr_[static_cast<std::size_t>(c) + 1]; ++p) {
+      where[static_cast<std::size_t>(up_row_[static_cast<std::size_t>(p)])] =
+          static_cast<std::int32_t>(p);
+    }
+    const std::size_t j =
+        static_cast<std::size_t>(perm_[static_cast<std::size_t>(c)]);
+    for (std::int64_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+      const std::size_t i =
+          static_cast<std::size_t>(a.row[static_cast<std::size_t>(p)]);
+      const std::int64_t ia = local[static_cast<std::size_t>(p)];
+      const std::int64_t begin = a.row_ptr[i];
+      LUBT_DCHECK(a.col[static_cast<std::size_t>(begin + ia)] ==
+                  static_cast<std::int32_t>(j));
+      for (std::int64_t ib = 0; ib < a.row_ptr[i + 1] - begin; ++ib) {
+        const std::int32_t r = inv_perm_[static_cast<std::size_t>(
+            a.col[static_cast<std::size_t>(begin + ib)])];
+        if (r > c) continue;  // the pair belongs to r's column
+        const std::int64_t hi = std::max(ia, ib);
+        const std::int64_t lo = std::min(ia, ib);
+        scatter_pos_[static_cast<std::size_t>(scatter_ptr_[i] +
+                                              hi * (hi + 1) / 2 + lo)] =
+            where[static_cast<std::size_t>(r)];
+      }
+    }
+  }
+  LUBT_DCHECK(std::find(scatter_pos_.begin(), scatter_pos_.end(), -1) ==
+              scatter_pos_.end());
+  analyzed_rows_ = a.num_rows;
+  analyzed_nnz_ = a.row_ptr[rows];
+}
+
 std::int64_t SparseNormalFactor::FindEntry(std::int32_t r,
                                            std::int32_t c) const {
   const auto begin = up_row_.begin() + up_ptr_[static_cast<std::size_t>(c)];
@@ -288,8 +363,10 @@ std::int64_t SparseNormalFactor::FindEntry(std::int32_t r,
 
 bool SparseNormalFactor::AppendScatter(const CompiledLpModel& a,
                                        int first_row) {
-  const std::size_t ptr_size = scatter_ptr_.size();
-  const std::size_t pos_size = scatter_pos_.size();
+  // The new rows' positions are staged apart, so a refused extension (the
+  // usual outcome) leaves scatter_pos_, which ScatterAll sizes exactly,
+  // without a speculative reallocation.
+  std::vector<std::int32_t> added;
   for (int i = first_row; i < a.num_rows; ++i) {
     const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
     const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
@@ -301,16 +378,17 @@ bool SparseNormalFactor::AppendScatter(const CompiledLpModel& a,
             a.col[static_cast<std::size_t>(pb)])];
         const std::int64_t pos =
             FindEntry(std::min(ca, cb), std::max(ca, cb));
-        if (pos < 0) {  // outside the analyzed pattern: roll back
-          scatter_ptr_.resize(ptr_size);
-          scatter_pos_.resize(pos_size);
-          return false;
-        }
-        scatter_pos_.push_back(pos);
+        if (pos < 0) return false;  // outside the analyzed pattern
+        added.push_back(static_cast<std::int32_t>(pos));
       }
     }
-    scatter_ptr_.push_back(static_cast<std::int64_t>(scatter_pos_.size()));
   }
+  for (int i = first_row; i < a.num_rows; ++i) {
+    const std::int64_t len = a.row_ptr[static_cast<std::size_t>(i) + 1] -
+                             a.row_ptr[static_cast<std::size_t>(i)];
+    scatter_ptr_.push_back(scatter_ptr_.back() + len * (len + 1) / 2);
+  }
+  scatter_pos_.insert(scatter_pos_.end(), added.begin(), added.end());
   analyzed_rows_ = a.num_rows;
   analyzed_nnz_ = a.row_ptr[static_cast<std::size_t>(a.num_rows)];
   return true;

@@ -10,19 +10,26 @@
 // columns are adjacent iff some row touches both — for EBF, iff two tree
 // edges share a constraint path). That structure is exploited three ways:
 //
-//  1. the fill-reducing ordering runs minimum degree directly on the clique
-//     cover (no explicit pairwise graph needed), which on EBF's tree-path
-//     cliques behaves like nested dissection on the tree;
+//  1. the fill-reducing ordering runs a minimum-degree heuristic directly
+//     on the clique cover (no explicit pairwise graph needed), which on
+//     EBF's tree-path cliques behaves like nested dissection on the tree.
+//     Heap keys are refreshed lazily, so it is not exact minimum degree
+//     (see MinDegreeOrder);
 //  2. the symbolic factorization (ordering, elimination tree, nnz(L)) is
-//     computed once and reused by every numeric refactorization;
+//     computed once and reused by every numeric refactorization. Its set-up
+//     neither sorts globally nor searches: the pattern of M comes from one
+//     sweep over the permuted columns of A's cached CSC (mark, then sort
+//     each short column list), and the scatter positions from a second
+//     sweep that loads a dense row-to-position map per pattern column;
 //  3. assembly scatters each row's coefficient products through precomputed
 //     value positions, so a Newton iteration costs O(sum_i nnz(row_i)^2 +
 //     flops(L)) instead of O(n^2 + n^3/6).
 //
-// Because lazy row generation only appends rows, a grown model often adds
-// no new pattern entries (Steiner paths overlap heavily); TryExtend detects
-// that case and keeps the symbolic analysis, which is what makes the
-// symbolic work amortize across lazy rounds.
+// Because lazy row generation only appends rows, a grown model may add no
+// new pattern entries; TryExtend detects that case and keeps the symbolic
+// analysis. On the perfbench workloads every lazy round adds a pair outside
+// the pattern, so each round re-analyzes (EXPERIMENTS.md, "Symbolic
+// analysis"); ECO edits that keep every row do reuse the analysis.
 //
 // Two numeric kernels share the one symbolic analysis (IpmFactorMode):
 //
@@ -47,10 +54,13 @@
 
 namespace lubt {
 
-/// Fill-reducing elimination order by exact minimum degree on the clique
-/// cover given by the ge-row column supports. Returns `order` with
+/// Fill-reducing elimination order by a minimum-degree heuristic on the
+/// clique cover given by the ge-row column supports. Returns `order` with
 /// order[k] = column eliminated k-th. Deterministic (ties break on the
-/// smallest column index).
+/// smallest column index). Not exact minimum degree: a vertex's heap key is
+/// refreshed only when that vertex is popped, so a neighbour whose degree
+/// fell keeps its older, higher key and can be eliminated after a vertex of
+/// higher degree.
 std::vector<std::int32_t> MinDegreeOrder(const CompiledLpModel& a);
 
 /// The sparse normal-equations factor. Lifecycle:
@@ -113,13 +123,20 @@ class SparseNormalFactor {
   }
 
  private:
-  // Append scatter positions for rows [first_row, a.num_rows). Returns false
-  // (and truncates any partial append) if a pair falls outside the pattern.
+  // Scatter positions of every row of `a` into the just-built pattern, by
+  // one sweep over the permuted columns (no pattern search).
+  void ScatterAll(const CompiledLpModel& a);
+  // Append scatter positions for rows [first_row, a.num_rows) by pattern
+  // search (TryExtend's path). Returns false, changing nothing, if a pair
+  // falls outside the pattern.
   bool AppendScatter(const CompiledLpModel& a, int first_row);
   // Position of (r, c) with r <= c in the permuted upper CSC pattern, or -1.
   std::int64_t FindEntry(std::int32_t r, std::int32_t c) const;
   // Upper-triangular pattern of P M P' for the current perm_/inv_perm_.
   void BuildPattern(const CompiledLpModel& a);
+  // The same pattern after composing the etree postorder `post` (post[k] =
+  // old position labelled k) onto perm_, without another sweep over `a`.
+  void RelabelPattern(const std::vector<std::int32_t>& post);
   void ComputeEtree();
   // Deterministic postorder of etree_ (children ascending).
   std::vector<std::int32_t> EtreePostOrder() const;
@@ -154,8 +171,10 @@ class SparseNormalFactor {
 
   // Scatter positions into up_val_, per ge row, aligned with the pair
   // enumeration (a, b) for a = 0..len-1, b = 0..a over the row's entries.
+  // The largest per-model structure (one entry per row pair), so positions
+  // are 32-bit; ScatterAll asserts the pattern fits.
   std::vector<std::int64_t> scatter_ptr_;
-  std::vector<std::int64_t> scatter_pos_;
+  std::vector<std::int32_t> scatter_pos_;
 
   // Symbolic L (CSC, first entry of each column is its diagonal).
   std::vector<std::int32_t> etree_;

@@ -574,5 +574,34 @@ TEST(SupernodalGoldenTest, SeededLazySolveIsBitwisePinned) {
   EXPECT_EQ(digest, 0xce0dc778667e0142ull);
 }
 
+TEST(SupernodalGoldenTest, PaperNetLazySolveIsBitwisePinned) {
+  // The full-scale prim2 stand-in through the lazy strategy, with the window
+  // lubt_cli's --lower 1.0 --upper 1.2 gives. Every lazy round re-runs the
+  // symbolic analysis, so the ordering, pattern, supernodes and scatter
+  // positions it builds must not move a bit of the result.
+  SinkSet set = MakeBenchmark(BenchmarkId::kPrim2);
+  const double R = Radius(set.sinks, set.source);
+  Topology topo = NnMergeTopology(set.sinks, set.source);
+  EbfProblem prob;
+  prob.topo = &topo;
+  prob.sinks = set.sinks;
+  prob.source = set.source;
+  prob.bounds.assign(set.sinks.size(), DelayBounds{1.0 * R, 1.2 * R});
+
+  EbfSolveOptions opt;
+  opt.strategy = EbfStrategy::kLazy;
+  const EbfSolveResult r = SolveEbf(prob, opt);
+  ASSERT_TRUE(r.ok()) << r.status;
+  std::uint64_t digest = 1469598103934665603ull;
+  for (const double len : r.edge_len) {
+    digest = (digest ^ std::bit_cast<std::uint64_t>(len)) * 1099511628211ull;
+  }
+  EXPECT_EQ(r.lazy_rounds, 5);
+  EXPECT_EQ(r.lp_iterations, 90);
+  EXPECT_EQ(r.objective, 0x1.06bd6db18a86ep+18);
+  EXPECT_EQ(r.edge_len.size(), 1206u);
+  EXPECT_EQ(digest, 0x087a6daa5d1d5d93ull);
+}
+
 }  // namespace
 }  // namespace lubt

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "lp/interior_point.h"
@@ -423,10 +426,11 @@ std::vector<double> FactorAndSolve(SparseNormalFactor& f,
   return x;
 }
 
-void ExpectClose(const std::vector<double>& a, const std::vector<double>& b) {
+void ExpectClose(const std::vector<double>& a, const std::vector<double>& b,
+                 double tol = 1e-8) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(a[i], b[i], 1e-8 * (1.0 + std::abs(a[i]))) << "component " << i;
+    EXPECT_NEAR(a[i], b[i], tol * (1.0 + std::abs(a[i]))) << "component " << i;
   }
 }
 
@@ -558,6 +562,129 @@ TEST(SupernodalFactorTest, PatternPreservingAppendKeepsModesEquivalent) {
   ExpectClose(FactorAndSolve(fresh_simp, a2, w, d),
               FactorAndSolve(fresh, a2, w, d));
 }
+
+// Symbolic-analysis oracle: random supports with length-1 rows, columns in
+// no row and one near-dense row. The pattern size is checked against pairs
+// counted in a std::set, and the solve against M assembled densely from the
+// rows, which is independent of the scatter map both kernels share.
+LpModel RandomSupportModel(Rng& rng, int n, int rows) {
+  LpModel m(n);
+  const int used = n - 3;  // columns [used, n) appear in no row
+  auto add = [&](std::vector<std::int32_t> idx) {
+    std::vector<double> val;
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      val.push_back(rng.Uniform(0.2, 1.5));
+    }
+    // A ranged row folds into two ge rows with the same support.
+    const double hi = rng.Uniform() < 0.3 ? 4.0 : kLpInf;
+    m.AddRow(idx, val, 0.5, hi);
+  };
+  for (int r = 0; r < rows; ++r) {
+    const int len = r % 5 == 0 ? 1 : 2 + static_cast<int>(rng.UniformInt(6));
+    std::set<std::int32_t> cols;
+    while (static_cast<int>(cols.size()) < len) {
+      cols.insert(static_cast<std::int32_t>(
+          rng.UniformInt(static_cast<std::uint64_t>(used))));
+    }
+    add({cols.begin(), cols.end()});
+  }
+  std::vector<std::int32_t> dense;
+  for (int c = 0; c < used; ++c) {
+    if (rng.Uniform() < 0.8) dense.push_back(c);
+  }
+  add(dense);
+  return m;
+}
+
+std::int64_t CountPatternPairs(const CompiledLpModel& a) {
+  std::set<std::pair<std::int32_t, std::int32_t>> pairs;
+  for (int i = 0; i < a.num_rows; ++i) {
+    for (std::int64_t p = a.row_ptr[static_cast<std::size_t>(i)];
+         p < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+      for (std::int64_t q = a.row_ptr[static_cast<std::size_t>(i)]; q < p;
+           ++q) {
+        const std::int32_t x = a.col[static_cast<std::size_t>(p)];
+        const std::int32_t y = a.col[static_cast<std::size_t>(q)];
+        pairs.insert({std::min(x, y), std::max(x, y)});
+      }
+    }
+  }
+  return static_cast<std::int64_t>(pairs.size()) + a.num_cols;  // + diagonal
+}
+
+// max_i |(M x - b)_i| / (1 + |b_i|) with M = A' diag(w) A + diag(d) dense.
+double NormalResidual(const CompiledLpModel& a, const std::vector<double>& w,
+                      const std::vector<double>& d,
+                      const std::vector<double>& x,
+                      const std::vector<double>& b) {
+  std::vector<double> mx(x.size(), 0.0);
+  for (std::size_t j = 0; j < x.size(); ++j) mx[j] = d[j] * x[j];
+  for (int i = 0; i < a.num_rows; ++i) {
+    double ax = 0.0;
+    const std::size_t begin =
+        static_cast<std::size_t>(a.row_ptr[static_cast<std::size_t>(i)]);
+    const std::size_t end =
+        static_cast<std::size_t>(a.row_ptr[static_cast<std::size_t>(i) + 1]);
+    for (std::size_t p = begin; p < end; ++p) {
+      ax += a.val[p] * x[static_cast<std::size_t>(a.col[p])];
+    }
+    for (std::size_t p = begin; p < end; ++p) {
+      mx[static_cast<std::size_t>(a.col[p])] +=
+          w[static_cast<std::size_t>(i)] * a.val[p] * ax;
+    }
+  }
+  double worst = 0.0;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    worst = std::max(worst, std::abs(mx[j] - b[j]) / (1.0 + std::abs(b[j])));
+  }
+  return worst;
+}
+
+class AnalyzeOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AnalyzeOracleTest, PatternScatterAndExtendMatchOracles) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 5);
+  const int n = 24 + static_cast<int>(rng.UniformInt(100));
+  LpModel m = RandomSupportModel(rng, n, 2 * n);
+  const CompiledLpModel& a = m.Compiled();
+
+  SparseNormalFactor sup;
+  sup.Analyze(a);
+  EXPECT_EQ(sup.PatternNnz(), CountPatternPairs(a));
+  SparseNormalFactor simp;
+  simp.Analyze(a);
+  simp.SetMode(IpmFactorMode::kSimplicial);
+
+  std::vector<double> w;
+  std::vector<double> d;
+  RandomScalings(rng, a, &w, &d);
+  const std::vector<double> x = FactorAndSolve(sup, a, w, d);
+  ExpectClose(FactorAndSolve(simp, a, w, d), x, 1e-10);
+  std::vector<double> b(x.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + static_cast<double>(i % 3);  // FactorAndSolve's rhs
+  }
+  EXPECT_LT(NormalResidual(a, w, d, x, b), 1e-10);
+
+  // A row on a subset of the near-dense row's support stays inside the
+  // pattern, so the analysis extends instead of being redone.
+  const SparseRow& dense = m.Row(m.NumRows() - 1);
+  std::vector<std::int32_t> idx(dense.index.begin(),
+                                dense.index.begin() + dense.index.size() / 2);
+  std::vector<double> val(idx.size(), 0.75);
+  m.AddRow(idx, val, 0.25, kLpInf);
+  const CompiledLpModel& grown = m.Compiled();
+  ASSERT_TRUE(sup.TryExtend(grown));
+  EXPECT_EQ(sup.analyzed_rows(), grown.num_rows);
+  SparseNormalFactor fresh;
+  fresh.Analyze(grown);
+  EXPECT_EQ(fresh.PatternNnz(), sup.PatternNnz());
+  RandomScalings(rng, grown, &w, &d);
+  ExpectClose(FactorAndSolve(fresh, grown, w, d),
+              FactorAndSolve(sup, grown, w, d), 1e-10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzeOracleTest, ::testing::Range(1, 7));
 
 TEST(SupernodalFactorTest, EngineObjectiveMatchesAcrossModes) {
   // End to end through the interior-point engine: overriding the factor
