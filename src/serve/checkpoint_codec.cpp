@@ -1,101 +1,282 @@
 #include "serve/checkpoint_codec.h"
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <initializer_list>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace lubt {
 namespace {
 
-// %a prints the shortest exact hex literal; strtod parses it back to the
-// identical bit pattern (and handles "inf"/"-inf" for the kLpInf bounds).
-std::string HexDouble(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
+constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << 52) - 1;
+
+char HexDigit(unsigned nibble) {
+  return static_cast<char>(nibble < 10 ? '0' + nibble : 'a' + (nibble - 10));
 }
 
-bool ParseHexDouble(const std::string& token, double* out) {
-  if (token.empty()) return false;
+// Appends v exactly as printf("%a") prints it: C99 hex floats round-trip
+// every double bit for bit, and strtod reads back inf/-inf (the kLpInf
+// bounds) and the sign of zero. Normal doubles and zeros are formatted
+// from the bit pattern (glibc's output: "[-]0x1[.h...]p±e" with trailing
+// zero nibbles dropped, "[-]0x0p+0"); subnormals, inf and nan are rare
+// enough to go through snprintf itself.
+void AppendHexDouble(double v, std::string* out) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
+  std::uint64_t mantissa = bits & kMantissaMask;
+  if (biased == 0x7ff || (biased == 0 && mantissa != 0)) {
+    char buf[48];
+    const int n = std::snprintf(buf, sizeof(buf), "%a", v);
+    out->append(buf, static_cast<std::size_t>(n));
+    return;
+  }
+  char buf[32];
+  char* p = buf;
+  if ((bits >> 63) != 0) *p++ = '-';
+  *p++ = '0';
+  *p++ = 'x';
+  if (biased == 0) {
+    *p++ = '0';
+    *p++ = 'p';
+    *p++ = '+';
+    *p++ = '0';
+  } else {
+    *p++ = '1';
+    if (mantissa != 0) {
+      *p++ = '.';
+      for (int nibbles = 13 - std::countr_zero(mantissa) / 4; nibbles > 0;
+           --nibbles) {
+        *p++ = HexDigit(static_cast<unsigned>(mantissa >> 48));
+        mantissa = (mantissa << 4) & kMantissaMask;
+      }
+    }
+    const int exponent = biased - 1023;
+    *p++ = 'p';
+    *p++ = exponent < 0 ? '-' : '+';
+    p = std::to_chars(p, buf + sizeof(buf), std::abs(exponent)).ptr;
+  }
+  out->append(buf, p);
+}
+
+// Parses "[-]0x1[.h...]p±e" (1 to 13 lowercase hex digits, e in the normal
+// range [-1022, 1023]) and "[-]0x0p+0": AppendHexDouble's output for every
+// normal double and zero. Such a literal is exactly representable, so the
+// bits assembled here are the ones strtod returns. Returns false for
+// anything else (the caller falls back to strtod).
+bool ParseCanonicalHex(std::string_view t, double* out) {
+  std::uint64_t sign = 0;
+  if (!t.empty() && t.front() == '-') {
+    sign = std::uint64_t{1} << 63;
+    t.remove_prefix(1);
+  }
+  if (t.size() < 6 || t[0] != '0' || t[1] != 'x') return false;
+  if (t.substr(2) == "0p+0") {
+    *out = std::bit_cast<double>(sign);
+    return true;
+  }
+  if (t[2] != '1') return false;
+  std::size_t i = 3;
+  std::uint64_t mantissa = 0;
+  if (t[i] == '.') {
+    const std::size_t first = ++i;
+    for (; i < t.size() && i - first < 13; ++i) {
+      const char c = t[i];
+      unsigned nibble = 0;
+      if (c >= '0' && c <= '9') {
+        nibble = static_cast<unsigned>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        nibble = static_cast<unsigned>(c - 'a' + 10);
+      } else {
+        break;
+      }
+      mantissa = (mantissa << 4) | nibble;
+    }
+    const std::size_t digits = i - first;
+    if (digits == 0) return false;
+    mantissa <<= 4 * (13 - digits);
+  }
+  if (i + 2 >= t.size() || t[i] != 'p' ||
+      (t[i + 1] != '+' && t[i + 1] != '-')) {
+    return false;
+  }
+  const bool negative_exp = t[i + 1] == '-';
+  const std::string_view e = t.substr(i + 2);
+  if (e[0] < '0' || e[0] > '9') return false;  // from_chars would take '-'
+  int exponent = 0;
+  const auto [end, ec] =
+      std::from_chars(e.data(), e.data() + e.size(), exponent);
+  if (ec != std::errc() || end != e.data() + e.size() ||
+      exponent > (negative_exp ? 1022 : 1023)) {
+    return false;
+  }
+  if (negative_exp) exponent = -exponent;
+  const auto biased = static_cast<std::uint64_t>(exponent + 1023);
+  *out = std::bit_cast<double>(sign | (biased << 52) | mantissa);
+  return true;
+}
+
+// Any other literal strtod accepts (uppercase hex, decimal, "infinity",
+// the subnormals and nan AppendHexDouble leaves to snprintf) keeps
+// strtod's value, so files readable before the fast path stay readable.
+bool ParseDouble(std::string_view token, double* out) {
+  if (ParseCanonicalHex(token, out)) return true;
+  const std::string copy(token);
   char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end == token.c_str() + token.size();
+  *out = std::strtod(copy.c_str(), &end);
+  return end == copy.c_str() + copy.size();
 }
 
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : in_(text) {}
+// The C locale's isspace set — what operator>> split on before.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
 
-  /// Next non-empty line; false at end of input.
-  bool Next(std::string* line) {
-    while (std::getline(in_, *line)) {
+// Line-oriented reader over the whole text: one string_view cursor, lines
+// split in place, fields read as whitespace-separated tokens. Every record
+// line is strict — each field must parse in full and nothing may follow
+// the last one — except `name` and `lastmsg`, which take the rest of the
+// line.
+class Decoder {
+ public:
+  explicit Decoder(std::string_view text) : rest_(text) {}
+
+  Status Fail(const std::string& what) const {
+    return Status::InvalidArgument("checkpoint line " +
+                                   std::to_string(line_no_) + ": " + what);
+  }
+
+  /// Advance to the next non-empty line; false at end of input.
+  bool NextLine() {
+    while (!rest_.empty()) {
+      const std::size_t nl = rest_.find('\n');
+      line_ = rest_.substr(0, nl);
+      rest_.remove_prefix(nl == std::string_view::npos ? rest_.size() : nl + 1);
       ++line_no_;
-      if (!line->empty()) return true;
+      if (!line_.empty()) return true;
     }
     return false;
   }
 
-  int line_no() const { return line_no_; }
+  std::string_view line() const { return line_; }
 
- private:
-  std::istringstream in_;
-  int line_no_ = 0;
-};
-
-struct Decoder {
-  LineReader reader;
-  std::string line;
-
-  explicit Decoder(const std::string& text) : reader(text) {}
-
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument("checkpoint line " +
-                                   std::to_string(reader.line_no()) + ": " +
-                                   what);
-  }
-
-  /// Read the next line and require tag + exactly the rest parsed by `body`.
-  Status Expect(const std::string& tag, std::istringstream* rest) {
-    if (!reader.Next(&line)) return Fail("truncated: expected '" + tag + "'");
-    std::istringstream ls(line);
-    std::string got;
-    ls >> got;
-    if (got != tag) return Fail("expected '" + tag + "', got '" + got + "'");
-    std::string remainder;
-    std::getline(ls, remainder);
-    rest->str(remainder);
-    rest->clear();
+  /// Read the next line and require `tag` as its first token; the fields
+  /// after it are left for Int/Double/Rest.
+  Status Expect(std::string_view tag) {
+    if (!NextLine()) {
+      return Fail("truncated: expected '" + std::string(tag) + "'");
+    }
+    const std::string_view got = Token();
+    if (got != tag) {
+      return Fail("expected '" + std::string(tag) + "', got '" +
+                  std::string(got) + "'");
+    }
     return Status::Ok();
   }
 
-  Status ReadHex(std::istringstream& ls, const char* what, double* out) {
-    std::string token;
-    if (!(ls >> token) || !ParseHexDouble(token, out)) {
+  /// The whole next field as an integer: no sign but '-', no trailing
+  /// characters, no overflow of T.
+  template <typename T>
+  Status Int(const char* what, T* out) {
+    const std::string_view token = Token();
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), *out);
+    if (token.empty() || ec != std::errc() ||
+        end != token.data() + token.size()) {
+      return Fail(std::string("malformed integer for ") + what);
+    }
+    return Status::Ok();
+  }
+
+  /// A 0/1 flag.
+  Status Flag(const char* what, bool* out) {
+    int v = 0;
+    LUBT_RETURN_IF_ERROR(Int(what, &v));
+    if (v != 0 && v != 1) return Fail(std::string("bad ") + what);
+    *out = v == 1;
+    return Status::Ok();
+  }
+
+  Status Double(const char* what, double* out) {
+    const std::string_view token = Token();
+    if (token.empty() || !ParseDouble(token, out)) {
       return Fail(std::string("malformed float for ") + what);
     }
     return Status::Ok();
   }
 
-  Status ReadDoubleBlock(const std::string& tag, std::vector<double>* out) {
-    std::istringstream head;
-    LUBT_RETURN_IF_ERROR(Expect(tag, &head));
-    long long count = -1;
-    if (!(head >> count) || count < 0 || count > (1LL << 28)) {
-      return Fail("bad count for '" + tag + "'");
+  /// A record count in [lo, hi].
+  Status Count(const char* what, long long lo, long long hi, long long* out) {
+    LUBT_RETURN_IF_ERROR(Int(what, out));
+    if (*out < lo || *out > hi) return Fail(std::string("bad ") + what);
+    return Status::Ok();
+  }
+
+  /// The rest of the line after the tag, minus the one separating space.
+  std::string Rest() {
+    std::string_view rest = line_;
+    if (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
+    line_ = {};
+    return std::string(rest);
+  }
+
+  /// Require that the line holds nothing after its last field.
+  Status Done() {
+    const std::string_view extra = Token();
+    if (!extra.empty()) {
+      return Fail("trailing token '" + std::string(extra) + "'");
     }
+    return Status::Ok();
+  }
+
+  /// A reservation for `count` records, capped by how many records of at
+  /// least `min_record_bytes` the unread input can hold: a hostile count
+  /// cannot allocate more than the file could fill. (sizeof of a minimal
+  /// record literal counts its line break as the terminating NUL.)
+  std::size_t Capacity(long long count, std::size_t min_record_bytes) const {
+    return std::min(static_cast<std::size_t>(count),
+                    rest_.size() / min_record_bytes);
+  }
+
+  Status DoubleBlock(const std::string& tag, std::vector<double>* out) {
+    LUBT_RETURN_IF_ERROR(Expect(tag));
+    long long count = 0;
+    LUBT_RETURN_IF_ERROR(Count((tag + " count").c_str(), 0, 1LL << 28, &count));
+    LUBT_RETURN_IF_ERROR(Done());
     out->clear();
-    out->reserve(static_cast<std::size_t>(count));
+    out->reserve(Capacity(count, sizeof("v 0")));
     for (long long i = 0; i < count; ++i) {
-      std::istringstream ls;
-      LUBT_RETURN_IF_ERROR(Expect("v", &ls));
       double v = 0.0;
-      LUBT_RETURN_IF_ERROR(ReadHex(ls, tag.c_str(), &v));
+      LUBT_RETURN_IF_ERROR(Expect("v"));
+      LUBT_RETURN_IF_ERROR(Double(tag.c_str(), &v));
+      LUBT_RETURN_IF_ERROR(Done());
       out->push_back(v);
     }
     return Status::Ok();
   }
+
+  /// The next whitespace-separated field of the line (empty at its end).
+  std::string_view Token() {
+    std::size_t i = 0;
+    while (i < line_.size() && IsSpace(line_[i])) ++i;
+    std::size_t j = i;
+    while (j < line_.size() && !IsSpace(line_[j])) ++j;
+    const std::string_view token = line_.substr(i, j - i);
+    line_.remove_prefix(j);
+    return token;
+  }
+
+ private:
+  std::string_view rest_;
+  std::string_view line_;
+  int line_no_ = 0;
 };
 
 // Rebuild a Topology by replaying nodes in id order, with the same
@@ -145,344 +326,280 @@ Status ReplayTopology(const std::vector<std::array<std::int32_t, 3>>& raw,
   return Status::Ok();
 }
 
-void AppendDoubleBlock(const std::string& tag,
-                       const std::vector<double>& values, std::string* out) {
+// A record of space-separated doubles: "tag a b ...\n".
+void AppendDoubles(const char* tag, std::initializer_list<double> values,
+                   std::string* out) {
   out->append(tag);
-  out->push_back(' ');
-  out->append(std::to_string(values.size()));
-  out->push_back('\n');
   for (const double v : values) {
-    out->append("v ");
-    out->append(HexDouble(v));
-    out->push_back('\n');
+    out->push_back(' ');
+    AppendHexDouble(v, out);
   }
+  out->push_back('\n');
+}
+
+// A record of space-separated integers: "tag a b ...\n".
+void AppendInts(const char* tag, std::initializer_list<long long> values,
+                std::string* out) {
+  out->append(tag);
+  for (const long long v : values) {
+    char buf[24];
+    buf[0] = ' ';
+    out->append(buf, std::to_chars(buf + 1, buf + sizeof(buf), v).ptr);
+  }
+  out->push_back('\n');
+}
+
+// "tag count\n" and one "v x\n" record per value.
+void AppendDoubleBlock(const char* tag, const std::vector<double>& values,
+                       std::string* out) {
+  AppendInts(tag, {static_cast<long long>(values.size())}, out);
+  for (const double v : values) AppendDoubles("v", {v}, out);
 }
 
 // The two free-text fields (instance name, status message) are single-line
 // by construction everywhere in the library, but a hostile client can put
 // anything in a session name — fold line breaks so they cannot corrupt the
 // line-oriented format.
-std::string OneLine(std::string s) {
-  for (char& c : s) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return s;
+void AppendOneLine(std::string_view s, std::string* out) {
+  for (const char c : s) out->push_back(c == '\n' || c == '\r' ? ' ' : c);
 }
 
 }  // namespace
 
 std::string EncodeCheckpoint(const EcoCheckpoint& ck) {
+  // Upper bounds per record: a hex double is at most 24 bytes, an int32 11.
+  const std::size_t doubles =
+      ck.lp_x.size() + ck.lp_dual.size() + ck.edge_len.size();
   std::string out;
-  out.reserve(256 + 96 * ck.set.sinks.size() +
-              48 * static_cast<std::size_t>(ck.topo.NumNodes()));
-  out.append("lubt-checkpoint v1\n");
-  out.append("name ").append(OneLine(ck.set.name)).push_back('\n');
+  out.reserve(512 + ck.set.name.size() + ck.last.status.message().size() +
+              104 * ck.set.sinks.size() +
+              38 * static_cast<std::size_t>(ck.topo.NumNodes()) +
+              26 * ck.pool.size() + 27 * doubles);
+  out.append("lubt-checkpoint v1\nname ");
+  AppendOneLine(ck.set.name, &out);
+  out.push_back('\n');
   if (ck.set.source.has_value()) {
-    out.append("source 1 ")
-        .append(HexDouble(ck.set.source->x))
-        .append(" ")
-        .append(HexDouble(ck.set.source->y))
-        .push_back('\n');
+    AppendDoubles("source 1", {ck.set.source->x, ck.set.source->y}, &out);
   } else {
     out.append("source 0\n");
   }
-  out.append("radius ").append(HexDouble(ck.initial_radius)).push_back('\n');
-  out.append("sinks ").append(std::to_string(ck.set.sinks.size()));
-  out.push_back('\n');
-  for (const Point& p : ck.set.sinks) {
-    out.append("s ")
-        .append(HexDouble(p.x))
-        .append(" ")
-        .append(HexDouble(p.y))
-        .push_back('\n');
-  }
-  for (const DelayBounds& b : ck.bounds) {
-    out.append("b ")
-        .append(HexDouble(b.lo))
-        .append(" ")
-        .append(HexDouble(b.hi))
-        .push_back('\n');
-  }
+  AppendDoubles("radius", {ck.initial_radius}, &out);
+  AppendInts("sinks", {static_cast<long long>(ck.set.sinks.size())}, &out);
+  for (const Point& p : ck.set.sinks) AppendDoubles("s", {p.x, p.y}, &out);
+  for (const DelayBounds& b : ck.bounds) AppendDoubles("b", {b.lo, b.hi}, &out);
   out.append(ck.topo.Mode() == RootMode::kFixedSource ? "mode fixed\n"
                                                       : "mode free\n");
-  out.append("nodes ").append(std::to_string(ck.topo.NumNodes()));
-  out.push_back('\n');
+  AppendInts("nodes", {ck.topo.NumNodes()}, &out);
   for (NodeId id = 0; id < ck.topo.NumNodes(); ++id) {
     const TopoNode& node = ck.topo.Node(id);
-    out.append("t ")
-        .append(std::to_string(node.left))
-        .append(" ")
-        .append(std::to_string(node.right))
-        .append(" ")
-        .append(std::to_string(node.sink))
-        .push_back('\n');
+    AppendInts("t", {node.left, node.right, node.sink}, &out);
   }
-  out.append("root ").append(std::to_string(ck.topo.Root())).push_back('\n');
-  out.append("model ")
-      .append(ck.has_model ? "1 " : "0 ")
-      .append(HexDouble(ck.scale))
-      .push_back('\n');
-  out.append("pool ").append(std::to_string(ck.pool.size())).push_back('\n');
+  AppendInts("root", {ck.topo.Root()}, &out);
+  AppendDoubles(ck.has_model ? "model 1" : "model 0", {ck.scale}, &out);
+  AppendInts("pool", {static_cast<long long>(ck.pool.size())}, &out);
   for (const std::array<std::int32_t, 2>& pr : ck.pool) {
-    out.append("p ")
-        .append(std::to_string(pr[0]))
-        .append(" ")
-        .append(std::to_string(pr[1]))
-        .push_back('\n');
+    AppendInts("p", {pr[0], pr[1]}, &out);
   }
-  out.append("state ")
-      .append(ck.lp_valid ? "1 " : "0 ")
-      .append(ck.needs_rebuild ? "1" : "0")
-      .push_back('\n');
+  AppendInts("state", {ck.lp_valid, ck.needs_rebuild}, &out);
   AppendDoubleBlock("lpx", ck.lp_x, &out);
   AppendDoubleBlock("lpdual", ck.lp_dual, &out);
   AppendDoubleBlock("elen", ck.edge_len, &out);
   const EcoSolveInfo& last = ck.last;
-  out.append("last ")
-      .append(std::to_string(static_cast<int>(last.status.code())))
-      .append(" ")
-      .append(std::to_string(static_cast<int>(last.tier)))
-      .append(" ")
-      .append(last.warm_started ? "1 " : "0 ")
-      .append(last.symbolic_reused ? "1 " : "0 ")
-      .append(std::to_string(last.lp_rows))
-      .append(" ")
-      .append(std::to_string(last.lp_iterations))
-      .append(" ")
-      .append(std::to_string(last.lazy_rounds))
-      .append(" ")
-      .append(std::to_string(last.rows_added))
-      .append(" ")
-      .append(std::to_string(last.rows_refreshed))
-      .append(" ")
-      .append(std::to_string(last.cold_retries))
-      .push_back('\n');
-  out.append("lastf ")
-      .append(HexDouble(last.cost))
-      .append(" ")
-      .append(HexDouble(last.objective))
-      .append(" ")
-      .append(HexDouble(last.stats.cost))
-      .append(" ")
-      .append(HexDouble(last.stats.min_delay))
-      .append(" ")
-      .append(HexDouble(last.stats.max_delay))
-      .append(" ")
-      .append(HexDouble(last.seconds))
-      .push_back('\n');
-  out.append("lastmsg ").append(OneLine(last.status.message()));
-  out.push_back('\n');
-  out.append("end\n");
+  AppendInts("last",
+             {static_cast<int>(last.status.code()),
+              static_cast<int>(last.tier), last.warm_started,
+              last.symbolic_reused, last.lp_rows, last.lp_iterations,
+              last.lazy_rounds, last.rows_added, last.rows_refreshed,
+              last.cold_retries},
+             &out);
+  AppendDoubles("lastf",
+                {last.cost, last.objective, last.stats.cost,
+                 last.stats.min_delay, last.stats.max_delay, last.seconds},
+                &out);
+  out.append("lastmsg ");
+  AppendOneLine(last.status.message(), &out);
+  out.append("\nend\n");
   return out;
 }
 
 Result<EcoCheckpoint> DecodeCheckpoint(const std::string& text) {
   Decoder d(text);
   EcoCheckpoint ck;
-  {
-    std::istringstream ls;
-    if (!d.reader.Next(&d.line) || d.line != "lubt-checkpoint v1") {
-      return Status::InvalidArgument(
-          "checkpoint: missing 'lubt-checkpoint v1' header");
-    }
+  if (!d.NextLine() || d.line() != "lubt-checkpoint v1") {
+    return Status::InvalidArgument(
+        "checkpoint: missing 'lubt-checkpoint v1' header");
   }
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("name", &ls));
-    std::string rest;
-    std::getline(ls, rest);
-    if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-    ck.set.name = rest;
-  }
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("source", &ls));
-    int has = 0;
-    if (!(ls >> has) || has < 0 || has > 1) return d.Fail("bad source flag");
-    if (has == 1) {
-      Point p;
-      LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "source.x", &p.x));
-      LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "source.y", &p.y));
-      ck.set.source = p;
-    }
-  }
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("radius", &ls));
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "radius", &ck.initial_radius));
-  }
-  long long num_sinks = 0;
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("sinks", &ls));
-    if (!(ls >> num_sinks) || num_sinks < 0 || num_sinks > (1LL << 24)) {
-      return d.Fail("bad sink count");
-    }
-  }
-  for (long long i = 0; i < num_sinks; ++i) {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("s", &ls));
+  LUBT_RETURN_IF_ERROR(d.Expect("name"));
+  ck.set.name = d.Rest();
+
+  LUBT_RETURN_IF_ERROR(d.Expect("source"));
+  bool has_source = false;
+  LUBT_RETURN_IF_ERROR(d.Flag("source flag", &has_source));
+  if (has_source) {
     Point p;
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "sink.x", &p.x));
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "sink.y", &p.y));
+    LUBT_RETURN_IF_ERROR(d.Double("source.x", &p.x));
+    LUBT_RETURN_IF_ERROR(d.Double("source.y", &p.y));
+    ck.set.source = p;
+  }
+  LUBT_RETURN_IF_ERROR(d.Done());
+
+  LUBT_RETURN_IF_ERROR(d.Expect("radius"));
+  LUBT_RETURN_IF_ERROR(d.Double("radius", &ck.initial_radius));
+  LUBT_RETURN_IF_ERROR(d.Done());
+
+  long long num_sinks = 0;
+  LUBT_RETURN_IF_ERROR(d.Expect("sinks"));
+  LUBT_RETURN_IF_ERROR(d.Count("sink count", 0, 1LL << 24, &num_sinks));
+  LUBT_RETURN_IF_ERROR(d.Done());
+  // Each sink takes an "s" and a "b" record.
+  ck.set.sinks.reserve(d.Capacity(num_sinks, 2 * sizeof("s 0 0")));
+  for (long long i = 0; i < num_sinks; ++i) {
+    Point p;
+    LUBT_RETURN_IF_ERROR(d.Expect("s"));
+    LUBT_RETURN_IF_ERROR(d.Double("sink.x", &p.x));
+    LUBT_RETURN_IF_ERROR(d.Double("sink.y", &p.y));
+    LUBT_RETURN_IF_ERROR(d.Done());
     ck.set.sinks.push_back(p);
   }
+  ck.bounds.reserve(d.Capacity(num_sinks, sizeof("b 0 0")));
   for (long long i = 0; i < num_sinks; ++i) {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("b", &ls));
     DelayBounds b;
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "bound.lo", &b.lo));
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "bound.hi", &b.hi));
+    LUBT_RETURN_IF_ERROR(d.Expect("b"));
+    LUBT_RETURN_IF_ERROR(d.Double("bound.lo", &b.lo));
+    LUBT_RETURN_IF_ERROR(d.Double("bound.hi", &b.hi));
+    LUBT_RETURN_IF_ERROR(d.Done());
     ck.bounds.push_back(b);
   }
+
+  LUBT_RETURN_IF_ERROR(d.Expect("mode"));
   RootMode mode = RootMode::kFreeSource;
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("mode", &ls));
-    std::string m;
-    ls >> m;
-    if (m == "fixed") {
-      mode = RootMode::kFixedSource;
-    } else if (m == "free") {
-      mode = RootMode::kFreeSource;
-    } else {
-      return d.Fail("unknown mode '" + m + "'");
-    }
+  const std::string_view m = d.Token();
+  if (m == "fixed") {
+    mode = RootMode::kFixedSource;
+  } else if (m != "free") {
+    return d.Fail("unknown mode '" + std::string(m) + "'");
   }
+  LUBT_RETURN_IF_ERROR(d.Done());
+
   long long num_nodes = 0;
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("nodes", &ls));
-    if (!(ls >> num_nodes) || num_nodes < 1 || num_nodes > (1LL << 26)) {
-      return d.Fail("bad node count");
-    }
-  }
+  LUBT_RETURN_IF_ERROR(d.Expect("nodes"));
+  LUBT_RETURN_IF_ERROR(d.Count("node count", 1, 1LL << 26, &num_nodes));
+  LUBT_RETURN_IF_ERROR(d.Done());
   std::vector<std::array<std::int32_t, 3>> raw;
-  raw.reserve(static_cast<std::size_t>(num_nodes));
+  raw.reserve(d.Capacity(num_nodes, sizeof("t 0 0 0")));
   for (long long i = 0; i < num_nodes; ++i) {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("t", &ls));
     std::array<std::int32_t, 3> node{};
-    if (!(ls >> node[0] >> node[1] >> node[2])) {
-      return d.Fail("node requires left, right, sink");
-    }
+    LUBT_RETURN_IF_ERROR(d.Expect("t"));
+    LUBT_RETURN_IF_ERROR(d.Int("node.left", &node[0]));
+    LUBT_RETURN_IF_ERROR(d.Int("node.right", &node[1]));
+    LUBT_RETURN_IF_ERROR(d.Int("node.sink", &node[2]));
+    LUBT_RETURN_IF_ERROR(d.Done());
     raw.push_back(node);
   }
   std::int32_t root = -1;
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("root", &ls));
-    if (!(ls >> root)) return d.Fail("root requires an id");
-  }
+  LUBT_RETURN_IF_ERROR(d.Expect("root"));
+  LUBT_RETURN_IF_ERROR(d.Int("root", &root));
+  LUBT_RETURN_IF_ERROR(d.Done());
   LUBT_RETURN_IF_ERROR(ReplayTopology(raw, root, mode, &ck.topo));
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("model", &ls));
-    int has = 0;
-    if (!(ls >> has) || has < 0 || has > 1) return d.Fail("bad model flag");
-    ck.has_model = has == 1;
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "scale", &ck.scale));
-  }
+
+  LUBT_RETURN_IF_ERROR(d.Expect("model"));
+  LUBT_RETURN_IF_ERROR(d.Flag("model flag", &ck.has_model));
+  LUBT_RETURN_IF_ERROR(d.Double("scale", &ck.scale));
+  LUBT_RETURN_IF_ERROR(d.Done());
+
   long long pool = 0;
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("pool", &ls));
-    if (!(ls >> pool) || pool < 0 || pool > (1LL << 28)) {
-      return d.Fail("bad pool count");
-    }
-  }
+  LUBT_RETURN_IF_ERROR(d.Expect("pool"));
+  LUBT_RETURN_IF_ERROR(d.Count("pool count", 0, 1LL << 28, &pool));
+  LUBT_RETURN_IF_ERROR(d.Done());
+  ck.pool.reserve(d.Capacity(pool, sizeof("p 0 0")));
   for (long long i = 0; i < pool; ++i) {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("p", &ls));
     std::array<std::int32_t, 2> pr{};
-    if (!(ls >> pr[0] >> pr[1])) return d.Fail("pair requires two indices");
+    LUBT_RETURN_IF_ERROR(d.Expect("p"));
+    LUBT_RETURN_IF_ERROR(d.Int("pair", &pr[0]));
+    LUBT_RETURN_IF_ERROR(d.Int("pair", &pr[1]));
+    LUBT_RETURN_IF_ERROR(d.Done());
     ck.pool.push_back(pr);
   }
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("state", &ls));
-    int valid = 0;
-    int rebuild = 0;
-    if (!(ls >> valid >> rebuild) || valid < 0 || valid > 1 || rebuild < 0 ||
-        rebuild > 1) {
-      return d.Fail("bad state flags");
-    }
-    ck.lp_valid = valid == 1;
-    ck.needs_rebuild = rebuild == 1;
+
+  LUBT_RETURN_IF_ERROR(d.Expect("state"));
+  LUBT_RETURN_IF_ERROR(d.Flag("state flags", &ck.lp_valid));
+  LUBT_RETURN_IF_ERROR(d.Flag("state flags", &ck.needs_rebuild));
+  LUBT_RETURN_IF_ERROR(d.Done());
+
+  LUBT_RETURN_IF_ERROR(d.DoubleBlock("lpx", &ck.lp_x));
+  LUBT_RETURN_IF_ERROR(d.DoubleBlock("lpdual", &ck.lp_dual));
+  LUBT_RETURN_IF_ERROR(d.DoubleBlock("elen", &ck.edge_len));
+
+  EcoSolveInfo& last = ck.last;
+  int code = 0;
+  int tier = 0;
+  LUBT_RETURN_IF_ERROR(d.Expect("last"));
+  LUBT_RETURN_IF_ERROR(d.Int("status code", &code));
+  LUBT_RETURN_IF_ERROR(d.Int("tier", &tier));
+  LUBT_RETURN_IF_ERROR(d.Flag("warm flag", &last.warm_started));
+  LUBT_RETURN_IF_ERROR(d.Flag("symbolic flag", &last.symbolic_reused));
+  LUBT_RETURN_IF_ERROR(d.Int("lp_rows", &last.lp_rows));
+  LUBT_RETURN_IF_ERROR(d.Int("lp_iterations", &last.lp_iterations));
+  LUBT_RETURN_IF_ERROR(d.Int("lazy_rounds", &last.lazy_rounds));
+  LUBT_RETURN_IF_ERROR(d.Int("rows_added", &last.rows_added));
+  LUBT_RETURN_IF_ERROR(d.Int("rows_refreshed", &last.rows_refreshed));
+  LUBT_RETURN_IF_ERROR(d.Int("cold_retries", &last.cold_retries));
+  LUBT_RETURN_IF_ERROR(d.Done());
+  if (code < 0 || code > static_cast<int>(StatusCode::kUnavailable)) {
+    return d.Fail("bad status code");
   }
-  LUBT_RETURN_IF_ERROR(d.ReadDoubleBlock("lpx", &ck.lp_x));
-  LUBT_RETURN_IF_ERROR(d.ReadDoubleBlock("lpdual", &ck.lp_dual));
-  LUBT_RETURN_IF_ERROR(d.ReadDoubleBlock("elen", &ck.edge_len));
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("last", &ls));
-    int code = 0;
-    int tier = 0;
-    int warm = 0;
-    int symb = 0;
-    if (!(ls >> code >> tier >> warm >> symb >> ck.last.lp_rows >>
-          ck.last.lp_iterations >> ck.last.lazy_rounds >>
-          ck.last.rows_added >> ck.last.rows_refreshed >>
-          ck.last.cold_retries)) {
-      return d.Fail("bad last-solve record");
-    }
-    if (code < 0 || code > static_cast<int>(StatusCode::kUnavailable)) {
-      return d.Fail("bad status code");
-    }
-    if (tier < 0 || tier > static_cast<int>(EcoTier::kColdRebuild)) {
-      return d.Fail("bad tier");
-    }
-    ck.last.status = Status(static_cast<StatusCode>(code), "");
-    ck.last.tier = static_cast<EcoTier>(tier);
-    ck.last.warm_started = warm == 1;
-    ck.last.symbolic_reused = symb == 1;
+  if (tier < 0 || tier > static_cast<int>(EcoTier::kColdRebuild)) {
+    return d.Fail("bad tier");
   }
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("lastf", &ls));
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "last.cost", &ck.last.cost));
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "last.objective", &ck.last.objective));
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "last.stats.cost",
-                                   &ck.last.stats.cost));
-    LUBT_RETURN_IF_ERROR(
-        d.ReadHex(ls, "last.stats.min", &ck.last.stats.min_delay));
-    LUBT_RETURN_IF_ERROR(
-        d.ReadHex(ls, "last.stats.max", &ck.last.stats.max_delay));
-    LUBT_RETURN_IF_ERROR(d.ReadHex(ls, "last.seconds", &ck.last.seconds));
-  }
-  {
-    if (!d.reader.Next(&d.line)) return d.Fail("truncated: expected lastmsg");
-    if (d.line.rfind("lastmsg", 0) != 0) return d.Fail("expected 'lastmsg'");
-    std::string msg = d.line.substr(7);
-    if (!msg.empty() && msg.front() == ' ') msg.erase(0, 1);
-    ck.last.status = Status(ck.last.status.code(), msg);
-  }
-  {
-    std::istringstream ls;
-    LUBT_RETURN_IF_ERROR(d.Expect("end", &ls));
-  }
+  last.tier = static_cast<EcoTier>(tier);
+
+  LUBT_RETURN_IF_ERROR(d.Expect("lastf"));
+  LUBT_RETURN_IF_ERROR(d.Double("last.cost", &last.cost));
+  LUBT_RETURN_IF_ERROR(d.Double("last.objective", &last.objective));
+  LUBT_RETURN_IF_ERROR(d.Double("last.stats.cost", &last.stats.cost));
+  LUBT_RETURN_IF_ERROR(d.Double("last.stats.min", &last.stats.min_delay));
+  LUBT_RETURN_IF_ERROR(d.Double("last.stats.max", &last.stats.max_delay));
+  LUBT_RETURN_IF_ERROR(d.Double("last.seconds", &last.seconds));
+  LUBT_RETURN_IF_ERROR(d.Done());
+
+  LUBT_RETURN_IF_ERROR(d.Expect("lastmsg"));
+  last.status = Status(static_cast<StatusCode>(code), d.Rest());
+
+  LUBT_RETURN_IF_ERROR(d.Expect("end"));
+  LUBT_RETURN_IF_ERROR(d.Done());
   // Anything after the end marker is damage (e.g. two checkpoints
   // concatenated by a partial overwrite) — refuse rather than guess.
-  if (d.reader.Next(&d.line)) return d.Fail("trailing data after 'end'");
+  if (d.NextLine()) return d.Fail("trailing data after 'end'");
   return ck;
 }
 
 Status StoreCheckpoint(const EcoCheckpoint& checkpoint,
                        const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
   if (!out) return Status::NotFound("cannot write checkpoint: " + path);
-  out << EncodeCheckpoint(checkpoint);
+  const std::string text = EncodeCheckpoint(checkpoint);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   out.close();
   if (!out) return Status::Internal("short write on checkpoint: " + path);
   return Status::Ok();
 }
 
 Result<EcoCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot read checkpoint: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return DecodeCheckpoint(buf.str());
+  // Read straight into one string a chunk at a time until end of file (a
+  // spill file fits one chunk), so nothing is sized from a reported length.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string text;
+  std::size_t used = 0;
+  do {
+    text.resize(used + kChunk);
+    in.read(text.data() + used, static_cast<std::streamsize>(kChunk));
+    used += static_cast<std::size_t>(in.gcount());
+  } while (in);
+  if (in.bad()) return Status::Internal("cannot read checkpoint: " + path);
+  text.resize(used);
+  return DecodeCheckpoint(text);
 }
 
 std::size_t ApproxSessionBytes(const EcoCheckpoint& ck) {

@@ -8,12 +8,23 @@
 // and also carries inf (the library's kLpInf upper bounds) and the sign of
 // zero. Everything else is a line-oriented tagged text format in the same
 // family as io/sink_set.h and io/tree_io.h — greppable spill files beat an
-// ad-hoc binary layout for debugging, and the cost is paid only on
-// eviction, never on the hot path.
+// ad-hoc binary layout for debugging.
+//
+// The codec is on the serving hot path, not just on eviction: when traffic
+// cycles through more sessions than the cache holds, nearly every edit
+// restores its session (a 30 s perfbench serve_eco run, 32 sessions over 8
+// slots: 25,001 restores and 25,025 evictions for about 25,100 edits), so
+// each edit pays one decode and one encode. Both therefore work without
+// per-line allocation: the encoder formats %a from the bit pattern into one
+// reserved string, and the decoder parses the encoder's own hex form
+// directly, falling back to strtod for any other literal (DESIGN.md section
+// 15, EXPERIMENTS.md "Checkpoint codec").
 //
 // Decode validates structure before touching the topology builder (which
 // asserts on malformed arenas): a corrupt or truncated spill file yields an
-// InvalidArgument, never an abort. The full corrupt-input matrix lives in
+// InvalidArgument, never an abort. Every record line is strict (no trailing
+// token, no partial or overflowing integer), and no count reserves more
+// than the unread input could hold. The full corrupt-input matrix lives in
 // tests/checkpoint_test.cpp.
 
 #ifndef LUBT_SERVE_CHECKPOINT_CODEC_H_

@@ -183,8 +183,13 @@ SessionCacheStats SessionCache::Stats() {
 void SessionCache::EnforceBudgetLocked() {
   // Evict least-recently-used idle sessions until both budgets hold. The
   // spill write happens under the cache mutex: eviction must be atomic
-  // against a concurrent Acquire of the same entry, and evictions are rare
-  // by construction (budget transitions only).
+  // against a concurrent Acquire of the same entry. Evictions are not rare
+  // under cyclic traffic — perfbench serve_eco (32 sessions, 8 slots)
+  // evicts once per edit — but the write is cheap enough to keep here:
+  // per edit there (Release, 4-vCPU host) it holds the mutex 0.15 ms
+  // (0.31 ms with the former istringstream codec), and Release waits
+  // 0.035 ms for it (0.10 ms before). Moving it out of the lock could save
+  // at most that wait.
   for (;;) {
     const bool over_entries = resident_ > opt_.max_resident;
     const bool over_bytes = resident_bytes_ > opt_.max_resident_bytes;

@@ -14,8 +14,13 @@
 #include "eco/checkpoint.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -308,6 +313,35 @@ std::string ReplaceFirst(std::string text, const std::string& needle,
   return text;
 }
 
+// Rewrite the first line whose first token is `tag`: replace its token
+// number `field` (0 is the tag) with `with`, or append `with` as a new last
+// token when `field` is past the end.
+std::string EditField(const std::string& text, const std::string& tag,
+                      std::size_t field, const std::string& with) {
+  std::istringstream in(text);
+  std::string out;
+  std::string line;
+  bool done = false;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::vector<std::string> tokens;
+    for (std::string t; ls >> t;) tokens.push_back(t);
+    if (!done && !tokens.empty() && tokens[0] == tag) {
+      if (field < tokens.size()) {
+        tokens[field] = with;
+      } else {
+        tokens.push_back(with);
+      }
+      line.clear();
+      for (const std::string& t : tokens) line += (line.empty() ? "" : " ") + t;
+      done = true;
+    }
+    out += line + "\n";
+  }
+  EXPECT_TRUE(done) << "no '" << tag << "' line";
+  return out;
+}
+
 TEST(CheckpointCorrupt, DecoderRejectsStructuralDamage) {
   auto session = MakeSession(9, 23);
   ASSERT_NE(session, nullptr);
@@ -324,10 +358,102 @@ TEST(CheckpointCorrupt, DecoderRejectsStructuralDamage) {
       {"absurd count", ReplaceFirst(good, "sinks 9", "sinks 99999999")},
       {"bad hex double", ReplaceFirst(good, "v 0x", "v zz")},
       {"garbage trailer", good + "surprise\n"},
+      // Strict tokens: a trailing token on any record line...
+      {"trailing source", EditField(good, "source", 9, "1")},
+      {"trailing radius", EditField(good, "radius", 9, "0x1p+0")},
+      {"trailing sinks", EditField(good, "sinks", 9, "0")},
+      {"trailing s", EditField(good, "s", 9, "0x1p+0")},
+      {"trailing b", EditField(good, "b", 9, "0x1p+0")},
+      {"trailing mode", EditField(good, "mode", 9, "fixed")},
+      {"trailing nodes", EditField(good, "nodes", 9, "1")},
+      {"trailing t", EditField(good, "t", 9, "0")},
+      {"trailing root", EditField(good, "root", 9, "0")},
+      {"trailing model", EditField(good, "model", 9, "0x1p+0")},
+      {"trailing pool", EditField(good, "pool", 9, "0")},
+      {"trailing p", EditField(good, "p", 9, "0")},
+      {"trailing state", EditField(good, "state", 9, "0")},
+      {"trailing lpx", EditField(good, "lpx", 9, "0")},
+      {"trailing v", EditField(good, "v", 9, "0x1p+0")},
+      {"trailing last", EditField(good, "last", 99, "0")},
+      {"trailing lastf", EditField(good, "lastf", 99, "0x1p+0")},
+      {"trailing end", EditField(good, "end", 9, "end")},
+      // ...a partly numeric integer...
+      {"partial count", EditField(good, "sinks", 1, "12abc")},
+      {"partial t", EditField(good, "t", 3, "12abc")},
+      {"partial root", EditField(good, "root", 1, "12abc")},
+      {"partial p", EditField(good, "p", 2, "12abc")},
+      {"partial last", EditField(good, "last", 5, "12abc")},
+      {"partial flag", EditField(good, "state", 1, "1x")},
+      // ...a sign the encoder never writes...
+      {"plus count", EditField(good, "sinks", 1, "+9")},
+      {"plus t", EditField(good, "t", 3, "+3")},
+      {"plus root", EditField(good, "root", 1, "+3")},
+      {"plus p", EditField(good, "p", 1, "+3")},
+      {"plus last", EditField(good, "last", 6, "+3")},
+      // ...an int32 overflow...
+      {"overflow t", EditField(good, "t", 3, "4294967296")},
+      {"overflow root", EditField(good, "root", 1, "2147483648")},
+      {"overflow p", EditField(good, "p", 1, "-2147483649")},
+      {"overflow last", EditField(good, "last", 5, "2147483648")},
+      // ...and flags outside {0, 1}.
+      {"flag 2", EditField(good, "state", 2, "2")},
+      {"warm flag 2", EditField(good, "last", 3, "2")},
+      {"float junk", EditField(good, "v", 1, "0x1p+0junk")},
   };
   for (const auto& [label, text] : damaged) {
     const Result<EcoCheckpoint> decoded = DecodeCheckpoint(text);
     EXPECT_FALSE(decoded.ok()) << label;
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+          << label;
+    }
+  }
+}
+
+// Every prefix of a good checkpoint — cut at a line break, mid-line or
+// mid-token — is an error (the "end" line is last), never a crash. The
+// sanitizer presets run this too.
+TEST(CheckpointCorrupt, EveryTruncatedPrefixIsRejected) {
+  auto session = MakeSession(9, 23);
+  ASSERT_NE(session, nullptr);
+  for (const EcoEdit& edit : OracleStream(*session, 23, 4)) {
+    ASSERT_TRUE(session->Apply(edit).ok());
+  }
+  const std::string good = EncodeCheckpoint(session->Checkpoint());
+  ASSERT_TRUE(DecodeCheckpoint(good).ok());
+  ASSERT_NE(good.find("\np "), std::string::npos);  // a non-empty pool
+  // Dropping only the final line break still leaves a complete "end" line.
+  ASSERT_TRUE(DecodeCheckpoint(good.substr(0, good.size() - 1)).ok());
+  for (std::size_t len = 0; len + 1 < good.size(); ++len) {
+    const Result<EcoCheckpoint> decoded = DecodeCheckpoint(good.substr(0, len));
+    ASSERT_FALSE(decoded.ok()) << "prefix of " << len << " bytes";
+    ASSERT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << len;
+  }
+}
+
+// Counts near each cap on inputs far too short to hold them: the decoder
+// must fail on the missing records without first reserving for the claimed
+// count (up to 2^28 doubles, 2.1 GB). tests/CMakeLists.txt also runs this
+// test under a 400 MB address-space limit, where such a reservation throws.
+TEST(CheckpointCorrupt, HostileCountsAreRejected) {
+  const std::string head =
+      "lubt-checkpoint v1\nname x\nsource 0\nradius 0x1p+0\n";
+  const std::string topo =
+      "sinks 1\ns 0x0p+0 0x0p+0\nb 0x0p+0 0x1p+0\nmode free\nnodes 1\n"
+      "t -1 -1 0\nroot 0\nmodel 0 0x1p+0\n";
+  const std::string state = topo + "pool 0\nstate 0 0\n";
+  const std::vector<std::string> hostile = {
+      head + "sinks 16777216\n",
+      head + "sinks 0\nmode free\nnodes 67108864\n",
+      head + topo + "pool 268435456\n",
+      head + state + "lpx 268435456\n",
+      head + state + "lpx 0\nlpdual 268435456\n",
+      head + state + "lpx 0\nlpdual 0\nelen 268435456\n",
+  };
+  for (const std::string& text : hostile) {
+    const Result<EcoCheckpoint> decoded = DecodeCheckpoint(text);
+    ASSERT_FALSE(decoded.ok()) << text;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << text;
   }
 }
 
@@ -387,6 +513,119 @@ TEST(CheckpointCorrupt, StoreLoadRoundTripAndMissingFile) {
   EXPECT_EQ(EncodeCheckpoint(*loaded), EncodeCheckpoint(ck));
   std::remove(path.c_str());
   EXPECT_FALSE(LoadCheckpoint(path).ok());
+}
+
+// ---------------------------------------------------------------------- //
+// Float codec oracle: printf("%a") and strtod are the reference.
+
+// The smallest checkpoint the decoder accepts (one sink, one node), with
+// `values` as its lp_x block.
+EcoCheckpoint TinyCheckpoint(std::vector<double> values) {
+  EcoCheckpoint ck;
+  ck.set.sinks = {Point{0.0, 0.0}};
+  ck.bounds = {DelayBounds{0.0, 1.0}};
+  ck.topo.SetRoot(ck.topo.AddSinkNode(0), RootMode::kFreeSource);
+  ck.lp_x = std::move(values);
+  return ck;
+}
+
+std::string PrintfHex(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+// The encoder formats doubles from their bits and the decoder parses its
+// own canonical form directly; both must agree with printf("%a")/strtod
+// byte for byte and bit for bit, over random bit patterns of every class.
+TEST(CheckpointCodecOracle, HexDoublesMatchPrintfAndStrtod) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 1.5, -2.75, 3.0, 1024.0,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(), -std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::nextafter(1.0, 2.0), std::nextafter(1.0, 0.0), 0.1, 1e300, 1e-300};
+  Rng rng(0x5eed);
+  for (int k = 0; k < 120000; ++k) {
+    std::uint64_t bits = rng.Next();
+    switch (k % 4) {
+      case 1:  // short mantissas: trailing zero nibbles of every length
+        bits &= ~((std::uint64_t{1} << (4 * rng.UniformInt(14))) - 1);
+        break;
+      case 2:  // subnormals
+        bits &= 0x800fffffffffffffULL;
+        break;
+      case 3:  // exponents near 0 (plain magnitudes)
+        bits = (bits & 0x800fffffffffffffULL) |
+               (static_cast<std::uint64_t>(1023 - 40 + rng.UniformInt(80))
+                << 52);
+        break;
+      default:
+        break;
+    }
+    values.push_back(std::bit_cast<double>(bits));
+  }
+
+  const std::string text = EncodeCheckpoint(TinyCheckpoint(values));
+  std::istringstream in(text.substr(text.find("\nlpx ") + 1));
+  std::string line;
+  std::getline(in, line);
+  ASSERT_EQ(line, "lpx " + std::to_string(values.size()));
+  for (const double v : values) {
+    ASSERT_TRUE(std::getline(in, line));
+    ASSERT_EQ(line, "v " + PrintfHex(v)) << "bits " << Bits(v);
+  }
+
+  const Result<EcoCheckpoint> decoded = DecodeCheckpoint(text);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->lp_x.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double got = decoded->lp_x[i];
+    if (std::isnan(values[i])) {
+      EXPECT_TRUE(std::isnan(got)) << i;
+      continue;
+    }
+    ASSERT_TRUE(SameBits(got, values[i])) << PrintfHex(values[i]);
+    ASSERT_TRUE(SameBits(got, std::strtod(PrintfHex(values[i]).c_str(),
+                                          nullptr)));
+  }
+}
+
+// Literals the encoder never writes but strtod accepts keep strtod's value
+// (the pre-fast-path decoder read every float through strtod).
+TEST(CheckpointCodecOracle, NonCanonicalLiteralsDecodeAsStrtod) {
+  const std::string text = EncodeCheckpoint(TinyCheckpoint({1.0}));
+  const std::string canonical = "\nv 0x1p+0\n";
+  for (const std::string literal :
+       {"0X1.8P+1", "0x1.80p+1", "0x1.8p+01", "0x01p+0", "0x1p-0", "0x3p-1",
+        "0x1.0000000000000p+0", "0x1.00000000000008p+0", "+0x1p+0", "1.5",
+        "-2.5e-3", "infinity", "-INF", "NaN", "0x1p-1074", "0x1p-1030",
+        "0x1p+1023", "0x1.fffffffffffff8p+1023", "-0x0.8p-1022", "0x0p-5",
+        "1e400", "0x.8p+1"}) {
+    const Result<EcoCheckpoint> decoded = DecodeCheckpoint(
+        ReplaceFirst(text, canonical, "\nv " + literal + "\n"));
+    ASSERT_TRUE(decoded.ok()) << literal << ": "
+                              << decoded.status().ToString();
+    const double want = std::strtod(literal.c_str(), nullptr);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(decoded->lp_x[0])) << literal;
+    } else {
+      EXPECT_TRUE(SameBits(decoded->lp_x[0], want)) << literal;
+    }
+  }
+  for (const std::string literal :
+       {"0x", "0x1p", "0x1p+", "0x1.p+", "0x1pp+0", "0x1p+-5", "1.5.", "--1",
+        "0x1p+0x"}) {
+    EXPECT_FALSE(
+        DecodeCheckpoint(ReplaceFirst(text, canonical, "\nv " + literal + "\n"))
+            .ok())
+        << literal;
+  }
 }
 
 }  // namespace
