@@ -173,8 +173,8 @@ inline std::vector<RowResult> ComputeRows(
 
 /// Open a BENCH_*.json file and emit the uniform header every scaling bench
 /// shares — {"bench": NAME, "mode": MODE, "hw_threads": N, "build": B, ...}
-/// — so downstream tooling can parse lp_scaling / separation_scaling /
-/// eco_scaling output without per-bench sniffing. MODE is "full" or
+/// — so downstream tooling can parse lp_scaling / separation_scaling
+/// output without per-bench sniffing. MODE is "full" or
 /// "smoke"; hw_threads and the build flavor make timings comparable across
 /// machines and presets (a 1-core container cannot honour multi-thread
 /// speedup gates, and a sanitizer build's numbers are not timings at all).

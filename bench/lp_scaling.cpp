@@ -14,7 +14,7 @@
 // analysis per instance, then repeated numeric Factor() calls per
 // IpmFactorMode on identical scalings, best-of-N timed. The analysis itself
 // is timed the same way (analyze_ms, best of N Analyze() calls, no gate):
-// every lazy round that TryExtend cannot keep pays it again. Both modes must
+// every lazy round over new rows pays it again. Both modes must
 // produce the same Solve() result to 1e-6 relative (the factorizations
 // differ only in update-summation grouping). Both kernels are serial; the
 // supernodal kernel must clear the blocked-kernel floor of 1.1x at >= 4096

@@ -12,10 +12,10 @@
 //    refreshing bounds in place on every edit), so Restore rebuilds them
 //    through EbfFormulation::BuildWithSteinerPairs instead of storing them;
 //  * the IpmContext symbolic factorization — re-derived on the first
-//    post-restore solve. This is bitwise-safe because MinDegreeOrder
-//    depends only on the normal-matrix pattern graph, which TryExtend
-//    guarantees is unchanged from the analysis the live session carries
-//    (DESIGN.md section 15).
+//    post-restore solve. This is bitwise-safe because the live session
+//    keeps an analysis only for exactly the rows it was built from, and
+//    MinDegreeOrder depends only on that pattern graph (DESIGN.md
+//    section 15).
 //
 // The serve layer's codec (serve/checkpoint_codec.h) gives this struct a
 // bitwise-faithful text format for spill-to-disk; the session cache uses it

@@ -417,15 +417,15 @@ LpSolution SolveWithInteriorPoint(const LpModel& model,
     return out;
   }
 
-  // The symbolic analysis is reused when the model only grew by rows that
-  // stay inside the analyzed pattern (the lazy-row regime); otherwise it is
-  // rebuilt. Every Newton step then factors sparse on that analysis.
+  // The symbolic analysis is reused when the context last analyzed exactly
+  // these rows; otherwise it is rebuilt. Every Newton step then factors
+  // sparse on that analysis.
   SparseNormalFactor local_factor;
   SparseNormalFactor& factor = options.ipm_context != nullptr
                                    ? options.ipm_context->normal
                                    : local_factor;
   factor.SetMode(options.factor_mode);
-  const bool symbolic_reused = factor.TryExtend(a);
+  const bool symbolic_reused = factor.Reusable(a);
   if (symbolic_reused) {
     if (options.ipm_context != nullptr) ++options.ipm_context->symbolic_reuses;
   } else {

@@ -23,15 +23,15 @@
 
 namespace lubt {
 
-/// Reusable interior-point state across solves of one model grown
-/// monotonically by row appends (the lazy-row regime): the sparse symbolic
-/// factorization survives between rounds, so a round whose new rows fit the
-/// analyzed pattern skips ordering + elimination-tree + fill analysis.
+/// Reusable interior-point state across solves of one model: the sparse
+/// symbolic factorization survives between solves, so a solve over exactly
+/// the analyzed rows skips ordering + elimination-tree + fill analysis. A
+/// solve over any other rows (a lazy round's grown model) re-analyzes.
 class IpmContext {
  public:
   SparseNormalFactor normal;
   int analyses = 0;         ///< full symbolic analyses performed
-  int symbolic_reuses = 0;  ///< solves that reused (possibly extending) one
+  int symbolic_reuses = 0;  ///< solves that reused the cached analysis
 };
 
 /// Solve `model` with the interior-point engine.

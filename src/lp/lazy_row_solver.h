@@ -54,10 +54,11 @@ struct LazySolveStats {
 /// nullptr = cold). With the interior-point engine and
 /// `options.warm_start_lazy_rounds` (the default), each later round starts
 /// from the previous round's primal/dual iterate when the append was modest
-/// (at most a quarter of the grown model), and reuses the sparse symbolic
-/// analysis when the appended rows fit the analyzed pattern — rows are only
-/// ever appended, so the ge-row order of earlier rounds is a stable prefix
-/// and the dual prefix transfers directly. `options.ipm_context` is used
+/// (at most a quarter of the grown model) — rows are only ever appended, so
+/// the ge-row order of earlier rounds is a stable prefix and the dual prefix
+/// transfers directly. A round over new rows re-runs the symbolic analysis;
+/// only a solve over exactly the analyzed rows reuses it (the first round of
+/// an ECO edit that keeps every row). `options.ipm_context` is used
 /// when given, otherwise the rounds share a solve-local one. A warm solve
 /// that fails is retried cold once (counted in `cold_retries` and in
 /// `rounds`) before giving up.

@@ -179,8 +179,9 @@ struct LpSolverOptions {
   /// Interior point: optional warm start (see LpWarmStart).
   const LpWarmStart* warm_start = nullptr;
   /// Interior point: reusable cache holding the symbolic factorization.
-  /// Valid only across solves of the same model grown monotonically by row
-  /// appends (the lazy-row regime); pass nullptr everywhere else.
+  /// Valid only across solves of one model, grown by row appends or rebuilt
+  /// with the same rows; the analysis is kept only when the rows are exactly
+  /// the analyzed ones. Pass nullptr everywhere else.
   IpmContext* ipm_context = nullptr;
   /// SolveWithLazyRows: thread each round's iterate into the next round as
   /// a warm start (interior point only).

@@ -352,58 +352,11 @@ void SparseNormalFactor::ScatterAll(const CompiledLpModel& a) {
   analyzed_nnz_ = a.row_ptr[rows];
 }
 
-std::int64_t SparseNormalFactor::FindEntry(std::int32_t r,
-                                           std::int32_t c) const {
-  const auto begin = up_row_.begin() + up_ptr_[static_cast<std::size_t>(c)];
-  const auto end = up_row_.begin() + up_ptr_[static_cast<std::size_t>(c) + 1];
-  const auto it = std::lower_bound(begin, end, r);
-  if (it == end || *it != r) return -1;
-  return it - up_row_.begin();
-}
-
-bool SparseNormalFactor::AppendScatter(const CompiledLpModel& a,
-                                       int first_row) {
-  // The new rows' positions are staged apart, so a refused extension (the
-  // usual outcome) leaves scatter_pos_, which ScatterAll sizes exactly,
-  // without a speculative reallocation.
-  std::vector<std::int32_t> added;
-  for (int i = first_row; i < a.num_rows; ++i) {
-    const std::int64_t begin = a.row_ptr[static_cast<std::size_t>(i)];
-    const std::int64_t end = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (std::int64_t pa = begin; pa < end; ++pa) {
-      const std::int32_t ca =
-          inv_perm_[static_cast<std::size_t>(a.col[static_cast<std::size_t>(pa)])];
-      for (std::int64_t pb = begin; pb <= pa; ++pb) {
-        const std::int32_t cb = inv_perm_[static_cast<std::size_t>(
-            a.col[static_cast<std::size_t>(pb)])];
-        const std::int64_t pos =
-            FindEntry(std::min(ca, cb), std::max(ca, cb));
-        if (pos < 0) return false;  // outside the analyzed pattern
-        added.push_back(static_cast<std::int32_t>(pos));
-      }
-    }
-  }
-  for (int i = first_row; i < a.num_rows; ++i) {
-    const std::int64_t len = a.row_ptr[static_cast<std::size_t>(i) + 1] -
-                             a.row_ptr[static_cast<std::size_t>(i)];
-    scatter_ptr_.push_back(scatter_ptr_.back() + len * (len + 1) / 2);
-  }
-  scatter_pos_.insert(scatter_pos_.end(), added.begin(), added.end());
-  analyzed_rows_ = a.num_rows;
-  analyzed_nnz_ = a.row_ptr[static_cast<std::size_t>(a.num_rows)];
-  return true;
-}
-
-bool SparseNormalFactor::TryExtend(const CompiledLpModel& a) {
-  if (!analyzed() || a.num_cols != n_) return false;
-  if (a.num_rows < analyzed_rows_) return false;
-  // The analyzed prefix must be unchanged; nnz agreement is the cheap
-  // proxy (the append-only contract is the caller's responsibility).
-  if (a.row_ptr[static_cast<std::size_t>(analyzed_rows_)] != analyzed_nnz_) {
-    return false;
-  }
-  if (a.num_rows == analyzed_rows_) return true;
-  return AppendScatter(a, analyzed_rows_);
+bool SparseNormalFactor::Reusable(const CompiledLpModel& a) const {
+  // Equal shape is the cheap proxy for equal row supports: an IpmContext
+  // is only valid across solves of one model (LpSolverOptions::ipm_context).
+  return analyzed() && a.num_cols == n_ && a.num_rows == analyzed_rows_ &&
+         a.row_ptr[static_cast<std::size_t>(a.num_rows)] == analyzed_nnz_;
 }
 
 void SparseNormalFactor::BuildSymbolic() {

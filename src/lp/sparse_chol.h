@@ -25,11 +25,10 @@
 //     value positions, so a Newton iteration costs O(sum_i nnz(row_i)^2 +
 //     flops(L)) instead of O(n^2 + n^3/6).
 //
-// Because lazy row generation only appends rows, a grown model may add no
-// new pattern entries; TryExtend detects that case and keeps the symbolic
-// analysis. On the perfbench workloads every lazy round adds a pair outside
-// the pattern, so each round re-analyzes (EXPERIMENTS.md, "Symbolic
-// analysis"); ECO edits that keep every row do reuse the analysis.
+// A caller that re-solves the same rows (an IpmContext across ECO edits that
+// keep every row) keeps the symbolic analysis; any other model, a lazy
+// round's grown one included, is analyzed again (EXPERIMENTS.md, "Symbolic
+// analysis").
 //
 // Two numeric kernels share the one symbolic analysis (IpmFactorMode):
 //
@@ -66,7 +65,7 @@ std::vector<std::int32_t> MinDegreeOrder(const CompiledLpModel& a);
 /// The sparse normal-equations factor. Lifecycle:
 ///
 ///   SparseNormalFactor f;
-///   f.Analyze(a);                     // or f.TryExtend(a) after appends
+///   if (!f.Reusable(a)) f.Analyze(a);
 ///   while (newton) {
 ///     f.Factor(a, row_weight, diag);  // assemble + refactor numerically
 ///     f.Solve(rhs);
@@ -77,13 +76,9 @@ class SparseNormalFactor {
   /// positions, elimination tree and L's column structure.
   void Analyze(const CompiledLpModel& a);
 
-  /// Reuse the existing analysis for a model grown from the analyzed one by
-  /// row appends. Succeeds (and registers the new rows' scatter positions)
-  /// when every appended row's column pairs already lie inside the analyzed
-  /// pattern; otherwise leaves the analysis untouched and returns false, in
-  /// which case the caller must Analyze() again. Also returns false when no
-  /// analysis exists or `a` is not a grown version of the analyzed model.
-  bool TryExtend(const CompiledLpModel& a);
+  /// True when the cached analysis was built for exactly `a`'s rows: same
+  /// column count, row count and nnz. Otherwise the caller must Analyze().
+  bool Reusable(const CompiledLpModel& a) const;
 
   /// Assemble M = A' diag(row_weight) A + diag(diag) and factor it, retrying
   /// with escalating diagonal regularization. Returns false if the matrix
@@ -104,7 +99,6 @@ class SparseNormalFactor {
   void Solve(std::span<double> b) const;
 
   bool analyzed() const { return n_ > 0; }
-  int analyzed_rows() const { return analyzed_rows_; }
   /// nnz of the lower triangle of M (diagonal included).
   std::int64_t PatternNnz() const {
     return analyzed() ? static_cast<std::int64_t>(up_row_.size()) : 0;
@@ -126,12 +120,6 @@ class SparseNormalFactor {
   // Scatter positions of every row of `a` into the just-built pattern, by
   // one sweep over the permuted columns (no pattern search).
   void ScatterAll(const CompiledLpModel& a);
-  // Append scatter positions for rows [first_row, a.num_rows) by pattern
-  // search (TryExtend's path). Returns false, changing nothing, if a pair
-  // falls outside the pattern.
-  bool AppendScatter(const CompiledLpModel& a, int first_row);
-  // Position of (r, c) with r <= c in the permuted upper CSC pattern, or -1.
-  std::int64_t FindEntry(std::int32_t r, std::int32_t c) const;
   // Upper-triangular pattern of P M P' for the current perm_/inv_perm_.
   void BuildPattern(const CompiledLpModel& a);
   // The same pattern after composing the etree postorder `post` (post[k] =

@@ -18,6 +18,14 @@
 namespace lubt {
 namespace {
 
+// Re-heats after the schedule plateaus: each restarts from the best-so-far
+// topology at the initial temperature. All restarts share max_rounds, and
+// randomness continues on the same seeded stream, so restarts preserve the
+// determinism contract.
+constexpr int kRestarts = 2;
+// P(a proposal endpoint is drawn from the dual weights, not uniformly).
+constexpr double kDualBias = 0.75;
+
 int ResolveJobs(int jobs) {
   if (jobs > 0) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -57,8 +65,8 @@ class SinkSampler {
 
   /// One sink index. Consumes exactly one or two RNG draws, independent of
   /// the report's content, on a deterministic schedule.
-  int Draw(Rng& rng, double dual_bias) const {
-    const bool guided = rng.Uniform() < dual_bias && total_ > 0.0;
+  int Draw(Rng& rng) const {
+    const bool guided = rng.Uniform() < kDualBias && total_ > 0.0;
     if (!guided) {
       return static_cast<int>(
           rng.UniformInt(static_cast<std::uint64_t>(num_sinks_)));
@@ -126,13 +134,13 @@ NodeId Climb(const Topology& topo, NodeId v, int levels) {
 // geometric nearest neighbors (those are the pairings that can shorten
 // wire), occasionally an independent dual/uniform draw for ergodicity.
 int DrawPartnerSink(int s, const std::vector<std::vector<int>>& knn,
-                    const SinkSampler& sampler, double dual_bias, Rng& rng) {
+                    const SinkSampler& sampler, Rng& rng) {
   const auto& nb = knn[static_cast<std::size_t>(s)];
   const bool local = rng.Uniform() < 0.85 && !nb.empty();
   if (local) {
     return nb[rng.UniformInt(static_cast<std::uint64_t>(nb.size()))];
   }
-  return sampler.Draw(rng, dual_bias);
+  return sampler.Draw(rng);
 }
 
 // Draw one move. Kind mix: 60% re-attaches (the workhorse), 20% swaps, 20%
@@ -143,13 +151,13 @@ int DrawPartnerSink(int s, const std::vector<std::vector<int>>& knn,
 // kernel call.
 TopoMove ProposeMove(const Topology& topo, const std::vector<NodeId>& leaf_of,
                      const std::vector<std::vector<int>>& knn,
-                     const SinkSampler& sampler, double dual_bias, Rng& rng) {
+                     const SinkSampler& sampler, Rng& rng) {
   TopoMove move;
   const double roll = rng.Uniform();
   if (roll < 0.8) {
     move.kind = roll < 0.6 ? MoveKind::kReattach : MoveKind::kSwap;
-    const int s = sampler.Draw(rng, dual_bias);
-    const int t = DrawPartnerSink(s, knn, sampler, dual_bias, rng);
+    const int s = sampler.Draw(rng);
+    const int t = DrawPartnerSink(s, knn, sampler, rng);
     move.a = Climb(topo, leaf_of[static_cast<std::size_t>(s)],
                    rng.UniformInt(0, 2));
     move.b = Climb(topo, leaf_of[static_cast<std::size_t>(t)],
@@ -157,7 +165,7 @@ TopoMove ProposeMove(const Topology& topo, const std::vector<NodeId>& leaf_of,
   } else {
     move.kind = MoveKind::kSplitCollapse;
     const NodeId leaf =
-        leaf_of[static_cast<std::size_t>(sampler.Draw(rng, dual_bias))];
+        leaf_of[static_cast<std::size_t>(sampler.Draw(rng))];
     NodeId b = leaf;
     NodeId a = topo.Node(leaf).parent;
     if (rng.Bernoulli(0.5) && a != kInvalidNode) {
@@ -188,10 +196,9 @@ Result<TopoSearchResult> TopoOptimizer::Optimize(
     EcoSession& session, const TopoSearchOptions& options) {
   if (options.max_rounds < 0 || options.candidates_per_round < 1 ||
       options.moves_per_candidate < 0 || options.jobs < 0 ||
-      options.plateau_rounds < 1 || options.restarts < 0 ||
+      options.plateau_rounds < 1 ||
       !(options.cooling > 0.0 && options.cooling <= 1.0) ||
-      !(options.dual_bias >= 0.0 && options.dual_bias <= 1.0) ||
-      !(options.initial_temp >= 0.0) || options.time_budget_seconds < 0.0) {
+      !(options.initial_temp >= 0.0)) {
     return Status::InvalidArgument("topo-search: malformed options");
   }
   if (!session.Feasible() || !session.Last().ok()) {
@@ -243,9 +250,8 @@ Result<TopoSearchResult> TopoOptimizer::Optimize(
   double temp = options.initial_temp * std::max(current, 1e-12);
   int plateau = 0;
   int round = 0;
-  bool out_of_time = false;
 
-  for (int restart = 0; restart <= options.restarts; ++restart) {
+  for (int restart = 0; restart <= kRestarts; ++restart) {
   if (restart > 0) {
     // Re-heat: climb back onto the best-so-far state and restart the
     // schedule there. The RNG stream continues, so the whole multi-restart
@@ -266,11 +272,6 @@ Result<TopoSearchResult> TopoOptimizer::Optimize(
     plateau = 0;
   }
   for (; round < options.max_rounds; ++round) {
-    if (options.time_budget_seconds > 0.0 &&
-        timer.Seconds() >= options.time_budget_seconds) {
-      out_of_time = true;
-      break;
-    }
     ++out.stats.rounds;
 
     const Topology& topo = session.Topo();
@@ -294,8 +295,7 @@ Result<TopoSearchResult> TopoOptimizer::Optimize(
       cand.valid = false;
       for (int attempt = 0; attempt < 8 && !cand.valid; ++attempt) {
         ++out.stats.proposed;
-        cand.move =
-            ProposeMove(topo, leaf_of, knn, sampler, options.dual_bias, rng);
+        cand.move = ProposeMove(topo, leaf_of, knn, sampler, rng);
         cand.valid = ApplyMove(topo, cand.move, &scratch, &cand.topo,
                                &base_len, &cand.warm);
       }
@@ -311,8 +311,8 @@ Result<TopoSearchResult> TopoOptimizer::Optimize(
         bool extended = false;
         for (int attempt = 0; attempt < 8 && !extended; ++attempt) {
           ++out.stats.proposed;
-          const TopoMove link = ProposeMove(cand.topo, leaf_of_c, knn,
-                                            sampler, options.dual_bias, rng);
+          const TopoMove link =
+              ProposeMove(cand.topo, leaf_of_c, knn, sampler, rng);
           extended = ApplyMove(cand.topo, link, &scratch, &next_topo,
                                &cand.warm, &next_warm);
         }
@@ -427,7 +427,7 @@ Result<TopoSearchResult> TopoOptimizer::Optimize(
     }
     temp *= options.cooling;
   }
-  if (out_of_time || round >= options.max_rounds) break;
+  if (round >= options.max_rounds) break;
   }
 
   // Best-so-far restore: leave the session solved on the best topology when

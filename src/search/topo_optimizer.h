@@ -14,7 +14,7 @@
 //  * Proposal distribution: moves are aimed using the LP duals of the
 //    current optimum (EcoSession::DualReport). A sink whose delay window or
 //    Steiner rows carry large duals is where the LP is paying; with
-//    probability `dual_bias` the proposal starts at a dual-weighted sink
+//    probability 0.75 the proposal starts at a dual-weighted sink
 //    (and an ancestor a few levels up), otherwise a uniform one — classic
 //    exploitation/exploration mixing. The move's second endpoint comes from
 //    the first sink's geometric nearest neighbors (a Manhattan kNN table
@@ -34,11 +34,11 @@
 //    the first uphill winner of a Metropolis scan in proposal order — and
 //    commits at most one. Randomness is consumed only in the
 //    sequential phases, on data that is itself worker-count invariant, so
-//    a seeded run is bitwise identical at jobs=1 and jobs=N. The only
-//    escape hatch is `time_budget_seconds`, which makes termination
-//    wall-clock dependent — the one knob documented to break the contract.
-//  * Termination: round budget, plateau budget (rounds since the best cost
-//    improved), optional time budget. Cooling is geometric.
+//    a seeded run is bitwise identical at jobs=1 and jobs=N.
+//  * Termination: round budget and plateau budget (rounds since the best
+//    cost improved). Cooling is geometric; after each plateau the schedule
+//    re-heats from the best-so-far topology, twice, within the same round
+//    budget.
 //  * Checkpointing: the best-so-far topology + edge lengths are snapshotted
 //    on every improvement; after termination the session is restored onto
 //    the best state if the walk ended somewhere worse, so callers always
@@ -72,10 +72,6 @@ struct TopoSearchOptions {
   int moves_per_candidate = 0;
   int jobs = 1;                 ///< evaluation workers (0 = hardware)
   int plateau_rounds = 40;      ///< stop after this many best-less rounds
-  /// Wall-clock cap in seconds; 0 disables. A nonzero budget makes
-  /// termination machine-dependent and thus breaks the bitwise jobs=1 ==
-  /// jobs=N contract (everything else preserves it).
-  double time_budget_seconds = 0.0;
   /// Starting temperature as a fraction of the current cost. Deliberately
   /// cool: with speculative multi-candidate rounds the search already sees
   /// several escapes per round, and measured on random instances hot
@@ -83,12 +79,6 @@ struct TopoSearchOptions {
   /// uphill damage.
   double initial_temp = 0.001;
   double cooling = 0.97;        ///< geometric decay per round, in (0, 1]
-  /// Re-heats: after the schedule plateaus, restart this many times from
-  /// the best-so-far topology at the initial temperature (all restarts
-  /// share `max_rounds`; randomness continues on the same seeded stream, so
-  /// restarts preserve the determinism contract).
-  int restarts = 2;
-  double dual_bias = 0.75;      ///< P(proposal aims at a dual-weighted sink)
   /// Cross-check every accepted move against the exact DP/simplex scorer
   /// (instances up to kExactOracleMaxSinks only; ignored above).
   bool exact_oracle = false;

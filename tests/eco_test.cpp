@@ -1,4 +1,5 @@
-// Incremental ECO engine tests: the randomized incremental ≡ cold oracle,
+// Incremental ECO engine tests: the randomized incremental ≡ cold oracle
+// and the fixed scaling stream with its incremental-vs-cold speedup floor,
 // the bitwise no-op tier contract for active-set-preserving RHS edits,
 // determinism of edit streams, pinned per-edit reuse counters,
 // infeasible-window recovery, persistence of edited instances, the
@@ -6,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <ios>
@@ -83,10 +87,98 @@ EcoEdit DrawEdit(Rng& rng, const EcoSession& session) {
   return edit;
 }
 
+// The scaling stream: `sinks` random sinks with a source on a 1000 x 1000
+// die, one shared window [0.9, 1.2] radius on the NN-merge topology, then
+// kSingleEdits single-sink edits (small moves alternating with window
+// changes, the localized regime the incremental engine is built for) and
+// one add plus one remove. Every edit is solved incrementally and cold and
+// the two costs must agree; the thread CPU time of both sides over the
+// single-sink edits is returned for the speedup floor below.
+constexpr int kSingleEdits = 8;
+
+struct StreamTimes {
+  double inc_cpu_s = 0.0;
+  double cold_cpu_s = 0.0;
+};
+
+double ThreadCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+StreamTimes RunScalingStream(int sinks, std::uint64_t seed) {
+  StreamTimes times;
+  const BBox die({0.0, 0.0}, {1000.0, 1000.0});
+  const SinkSet set = RandomSinkSet(sinks, die, seed, /*with_source=*/true);
+  const double radius = Radius(set.sinks, set.source);
+  Topology topo = NnMergeTopology(set.sinks, set.source);
+  std::vector<DelayBounds> bounds(set.sinks.size(),
+                                  DelayBounds{0.9 * radius, 1.2 * radius});
+  auto created =
+      EcoSession::Create(set, std::move(bounds), std::move(topo), {});
+  LUBT_ASSERT(created.ok());
+  EcoSession& session = **created;
+  EXPECT_TRUE(session.Last().ok()) << session.Last().status;
+
+  Rng rng(seed * 0xec0ec0ec0ULL + 11);
+  for (int k = 0; k < kSingleEdits + 2; ++k) {
+    EcoEdit edit;
+    if (k == kSingleEdits) {
+      edit.kind = EcoEditKind::kAddSink;
+      edit.point = {rng.Uniform(die.Lo().x, die.Hi().x),
+                    rng.Uniform(die.Lo().y, die.Hi().y)};
+      edit.lo = 0.9 * radius;
+      edit.hi = 1.3 * radius;
+    } else if (k == kSingleEdits + 1) {
+      edit.kind = EcoEditKind::kRemoveSink;
+      edit.sink = rng.UniformInt(0, session.NumSinks() - 1);
+    } else {
+      edit.sink = rng.UniformInt(0, session.NumSinks() - 1);
+      if (k % 2 == 0) {
+        edit.kind = EcoEditKind::kMoveSink;
+        const Point& p =
+            session.Set().sinks[static_cast<std::size_t>(edit.sink)];
+        const double dx = rng.Uniform(-0.02, 0.02) * radius;
+        const double dy = rng.Uniform(-0.02, 0.02) * radius;
+        edit.point = {std::clamp(p.x + dx, die.Lo().x, die.Hi().x),
+                      std::clamp(p.y + dy, die.Lo().y, die.Hi().y)};
+      } else {
+        edit.kind = EcoEditKind::kSetBounds;
+        edit.lo = rng.Uniform(0.85, 0.95) * radius;
+        edit.hi = rng.Uniform(1.15, 1.25) * radius;
+      }
+    }
+    const double inc_start = ThreadCpuSeconds();
+    auto info = session.Apply(edit);
+    const double cold_start = ThreadCpuSeconds();
+    const EbfSolveResult cold = ColdReferenceSolve(session);
+    const double cold_end = ThreadCpuSeconds();
+    if (k < kSingleEdits) {
+      times.inc_cpu_s += cold_start - inc_start;
+      times.cold_cpu_s += cold_end - cold_start;
+    }
+    EXPECT_TRUE(info.ok() && info->ok())
+        << sinks << " sinks, edit " << k << " ("
+        << EcoEditKindName(edit.kind) << "): "
+        << (info.ok() ? info->status : info.status());
+    EXPECT_TRUE(cold.ok()) << sinks << " sinks, edit " << k << ": "
+                           << cold.status;
+    if (info.ok() && info->ok() && cold.ok()) {
+      EXPECT_TRUE(CostsAgree(info->cost, cold.cost))
+          << sinks << " sinks, edit " << k << " ("
+          << EcoEditKindName(edit.kind) << "): eco " << info->cost
+          << " vs cold " << cold.cost;
+    }
+  }
+  return times;
+}
+
 // The tentpole contract: after every edit the incremental solution matches
 // a cold solve of the edited instance. 24 seeded instances x 10 mixed edits
 // = 240 cross-checked edits over every edit kind, both source modes, and
-// feasible + infeasible regimes.
+// feasible + infeasible regimes, then the scaling stream at 48 and 96 sinks.
 TEST(EcoOracleTest, RandomizedEditStreamsMatchColdSolves) {
   int checked = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -125,6 +217,20 @@ TEST(EcoOracleTest, RandomizedEditStreamsMatchColdSolves) {
     }
   }
   EXPECT_GE(checked, 200);
+  for (const int sinks : {48, 96}) RunScalingStream(sinks, 7);
+}
+
+// At 512 sinks the incremental re-solves of the single-sink edits must take
+// at most a fifth of the cold solves' CPU time. Both sides run on this
+// thread, so thread CPU time is immune to other processes sharing the
+// host. Sanitizer builds slow the two sides unevenly; they check costs only.
+TEST(EcoOracleTest, IncrementalIsFiveTimesFasterThanColdAt512Sinks) {
+  [[maybe_unused]] const StreamTimes times = RunScalingStream(512, 7);
+#ifdef LUBT_TIMING_FLOORS
+  EXPECT_GE(times.cold_cpu_s, 5.0 * times.inc_cpu_s)
+      << "incremental " << times.inc_cpu_s << " s vs cold "
+      << times.cold_cpu_s << " s of thread CPU";
+#endif
 }
 
 // Active-set-preserving RHS edits must return the stored solution bitwise.

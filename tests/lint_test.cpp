@@ -377,9 +377,9 @@ TEST(ServeRawIo, FlagsRawSyscallsUnderServe) {
 
 TEST(ServeRawIo, OtherDirectoriesAndMemberCallsClean) {
   // The rule is scoped to src/serve/ — raw I/O elsewhere is someone else's
-  // contract (bench clients talk to sockets directly, by design).
+  // contract (benchmark clients talk to sockets directly, by design).
   const auto elsewhere =
-      Lint("bench/serve_load.cpp", "void F(int fd) { read(fd, 0, 0); }\n");
+      Lint("perfbench/serve_eco.cpp", "void F(int fd) { read(fd, 0, 0); }\n");
   EXPECT_EQ(CountRule(elsewhere, "serve-raw-io"), 0);
 
   // Member function spellings are not syscalls.

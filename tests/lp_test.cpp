@@ -360,7 +360,7 @@ TEST(WarmStartTest, SizeMismatchedWarmStartIsIgnored) {
   EXPECT_NEAR(s.objective, 2.0, 1e-6);
 }
 
-TEST(SymbolicReuseTest, AppendedRowsInsidePatternReuseTheAnalysis) {
+TEST(SymbolicReuseTest, SameRowsReuseTheAnalysisAppendsReanalyze) {
   Rng rng(31);
   LpModel m = RandomBandedModel(rng, 80, 240);
   IpmContext ctx;
@@ -371,28 +371,26 @@ TEST(SymbolicReuseTest, AppendedRowsInsidePatternReuseTheAnalysis) {
   EXPECT_FALSE(first.symbolic_reused);
   EXPECT_EQ(ctx.analyses, 1);
 
-  // Append a redundant copy of an existing row (same support => same
-  // pattern): the symbolic analysis must survive.
-  SparseRow dup = m.Row(0);
-  dup.lo *= 0.5;
-  m.AddRow(std::move(dup));
+  // New bounds on the same rows: the symbolic analysis must survive.
+  const SparseRow& row0 = m.Row(0);
+  m.SetRowBounds(0, 0.5 * row0.lo, row0.hi);
   const LpSolution second = SolveLp(m, o);
   ASSERT_TRUE(second.ok()) << second.status;
   EXPECT_TRUE(second.symbolic_reused);
   EXPECT_EQ(ctx.analyses, 1);
   EXPECT_EQ(ctx.symbolic_reuses, 1);
-  EXPECT_NEAR(second.objective, first.objective,
-              1e-6 * (1.0 + std::abs(first.objective)));
 
-  // A row pairing the two extreme columns falls outside the banded pattern:
-  // the engine must re-analyze, not crash or mis-solve.
-  std::vector<std::int32_t> idx{0, 79};
-  std::vector<double> val{1.0, 1.0};
-  m.AddRow(idx, val, 0.1, kLpInf);
+  // Any appended row, even a redundant copy inside the pattern, changes the
+  // rows: the engine re-analyzes and reaches the same optimum.
+  SparseRow dup = m.Row(3);
+  dup.lo *= 0.5;
+  m.AddRow(std::move(dup));
   const LpSolution third = SolveLp(m, o);
   ASSERT_TRUE(third.ok()) << third.status;
   EXPECT_FALSE(third.symbolic_reused);
   EXPECT_EQ(ctx.analyses, 2);
+  EXPECT_NEAR(third.objective, second.objective,
+              1e-6 * (1.0 + std::abs(second.objective)));
 }
 
 // ---- Supernodal numeric kernel ---------------------------------------------
@@ -519,39 +517,34 @@ TEST(SupernodalFactorTest, ReusedScratchIsBitwiseStable) {
 }
 
 TEST(SupernodalFactorTest, PatternPreservingAppendKeepsModesEquivalent) {
-  // TryExtend keeps the analysis (and the supernodal schedule) across row
-  // appends that stay inside the pattern; both kernels must agree on the
-  // grown model too.
+  // Both kernels must agree on a model grown by a row inside the pattern
+  // and by one outside it, each analyzed afresh.
   Rng rng(63);
   LpModel m = RandomBandedModel(rng, 80, 240);
   SparseNormalFactor simp;
-  simp.Analyze(m.Compiled());
   simp.SetMode(IpmFactorMode::kSimplicial);
   SparseNormalFactor sup;
-  sup.Analyze(m.Compiled());
   sup.SetMode(IpmFactorMode::kSupernodal);
 
   SparseRow dup = m.Row(3);  // same support => same pattern
   dup.lo *= 0.5;
   m.AddRow(std::move(dup));
   const CompiledLpModel& a1 = m.Compiled();
-  ASSERT_TRUE(simp.TryExtend(a1));
-  ASSERT_TRUE(sup.TryExtend(a1));
+  simp.Analyze(a1);
+  sup.Analyze(a1);
 
   std::vector<double> w;
   std::vector<double> d;
   RandomScalings(rng, a1, &w, &d);
   ExpectClose(FactorAndSolve(simp, a1, w, d), FactorAndSolve(sup, a1, w, d));
 
-  // A row pairing the extreme columns falls outside the banded pattern:
-  // both kernels must refuse the extension (forcing a re-analysis) rather
-  // than factor with a stale schedule.
+  // A row pairing the extreme columns falls outside the banded pattern.
   std::vector<std::int32_t> idx{0, 79};
   std::vector<double> val{1.0, 1.0};
   m.AddRow(idx, val, 0.1, kLpInf);
   const CompiledLpModel& a2 = m.Compiled();
-  EXPECT_FALSE(simp.TryExtend(a2));
-  EXPECT_FALSE(sup.TryExtend(a2));
+  EXPECT_FALSE(simp.Reusable(a2));
+  EXPECT_FALSE(sup.Reusable(a2));
   SparseNormalFactor fresh;
   fresh.Analyze(a2);
   fresh.SetMode(IpmFactorMode::kSupernodal);
@@ -667,21 +660,21 @@ TEST_P(AnalyzeOracleTest, PatternScatterAndExtendMatchOracles) {
   EXPECT_LT(NormalResidual(a, w, d, x, b), 1e-10);
 
   // A row on a subset of the near-dense row's support stays inside the
-  // pattern, so the analysis extends instead of being redone.
+  // pattern: the grown model's fresh analysis adds no pattern entries.
   const SparseRow& dense = m.Row(m.NumRows() - 1);
   std::vector<std::int32_t> idx(dense.index.begin(),
                                 dense.index.begin() + dense.index.size() / 2);
   std::vector<double> val(idx.size(), 0.75);
   m.AddRow(idx, val, 0.25, kLpInf);
   const CompiledLpModel& grown = m.Compiled();
-  ASSERT_TRUE(sup.TryExtend(grown));
-  EXPECT_EQ(sup.analyzed_rows(), grown.num_rows);
   SparseNormalFactor fresh;
   fresh.Analyze(grown);
   EXPECT_EQ(fresh.PatternNnz(), sup.PatternNnz());
+  EXPECT_EQ(fresh.PatternNnz(), CountPatternPairs(grown));
   RandomScalings(rng, grown, &w, &d);
-  ExpectClose(FactorAndSolve(fresh, grown, w, d),
-              FactorAndSolve(sup, grown, w, d), 1e-10);
+  simp.Analyze(grown);
+  ExpectClose(FactorAndSolve(simp, grown, w, d),
+              FactorAndSolve(fresh, grown, w, d), 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzeOracleTest, ::testing::Range(1, 7));

@@ -1,13 +1,15 @@
 // Topology search engine tests: move validity and canonicality, the exact
 // leaf-delay DP against the LP, the exhaustive small-instance oracle, the
 // speculative evaluate == commit == cold-reference agreement, SA-vs-exact
-// agreement on oracle-sized instances, and the bitwise jobs=1 == jobs=N
-// determinism contract of the annealer.
+// agreement on oracle-sized instances, the 3% win over NN-merge at 64
+// sinks, and the bitwise jobs=1 == jobs=N determinism contract of the
+// annealer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cts/metrics.h"
@@ -48,9 +50,10 @@ bool SameTopology(const Topology& a, const Topology& b) {
 
 std::unique_ptr<EcoSession> MakeSession(int m, std::uint64_t seed,
                                         double lo_f, double hi_f,
-                                        bool with_source = true) {
+                                        bool with_source = true,
+                                        double die = 500.0) {
   SinkSet set =
-      RandomSinkSet(m, BBox({0.0, 0.0}, {500.0, 500.0}), seed, with_source);
+      RandomSinkSet(m, BBox({0.0, 0.0}, {die, die}), seed, with_source);
   const double radius = Radius(set.sinks, set.source);
   Topology topo = NnMergeTopology(set.sinks, set.source);
   std::vector<DelayBounds> bounds(
@@ -286,27 +289,66 @@ TEST(SearchEval, EvaluateMatchesCommitAndLeavesSessionUntouched) {
 // ---------------------------------------------------------------------------
 // The annealer.
 
-TEST(SearchOptimizer, ImprovesOrMatchesTheInitialTopology) {
-  auto session = MakeSession(16, 77, 0.0, 1.35);
-  ASSERT_TRUE(session->Last().ok());
+// Seed-11 instances: `sinks` random sinks with a source on a 1000 x 1000
+// die and one loose shared window [0.3, 1.3] radius, so the whole cost gap
+// to NN-merge is the topology. They are annealed for `rounds` rounds at
+// initial_temp 0.0005 with the whole budget spent searching.
+std::unique_ptr<EcoSession> MakeLooseWindowSession(int sinks) {
+  return MakeSession(sinks, 11, 0.3, 1.3, /*with_source=*/true, 1000.0);
+}
+
+TopoSearchOptions FullBudgetOptions(int rounds) {
   TopoSearchOptions opts;
-  opts.seed = 5;
-  opts.max_rounds = 30;
-  opts.candidates_per_round = 3;
-  opts.plateau_rounds = 12;
-  auto result = TopoOptimizer::Optimize(*session, opts);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_LE(result->best_cost,
-            result->initial_cost + kCostTol * (1.0 + result->initial_cost));
-  EXPECT_GT(result->stats.rounds, 0);
-  // The session is left solved on the best topology found.
+  opts.seed = 11;
+  opts.max_rounds = rounds;
+  opts.plateau_rounds = rounds;
+  opts.initial_temp = 0.0005;
+  return opts;
+}
+
+TEST(SearchOptimizer, ImprovesOrMatchesTheInitialTopology) {
+  TopoSearchOptions small;
+  small.seed = 5;
+  small.max_rounds = 30;
+  small.candidates_per_round = 3;
+  small.plateau_rounds = 12;
+  struct Case {
+    std::unique_ptr<EcoSession> session;
+    TopoSearchOptions opts;
+  };
+  Case cases[] = {{MakeSession(16, 77, 0.0, 1.35), small},
+                  {MakeLooseWindowSession(24), FullBudgetOptions(12)},
+                  {MakeLooseWindowSession(48), FullBudgetOptions(12)}};
+  for (Case& c : cases) {
+    EcoSession& session = *c.session;
+    SCOPED_TRACE(std::to_string(session.NumSinks()) + " sinks");
+    ASSERT_TRUE(session.Last().ok());
+    auto result = TopoOptimizer::Optimize(session, c.opts);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_LE(result->best_cost,
+              result->initial_cost + kCostTol * (1.0 + result->initial_cost));
+    EXPECT_GT(result->stats.rounds, 0);
+    // The session is left solved on the best topology found.
+    ASSERT_TRUE(session.Last().ok());
+    EXPECT_TRUE(CostsAgree(session.Last().cost, result->best_cost));
+    EXPECT_TRUE(SameTopology(session.Topo(), result->best_topo));
+    // And that state matches a cold solve (nothing stale was committed).
+    const EbfSolveResult cold = ColdReferenceSolve(session);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_TRUE(CostsAgree(cold.cost, result->best_cost));
+  }
+}
+
+// The search must pay for itself: at 64 sinks a 30-round budget beats the
+// NN-merge construction's cost by at least 3% at equal delay bounds.
+TEST(SearchOptimizer, BeatsNnMergeByThreePercentAt64Sinks) {
+  auto session = MakeLooseWindowSession(64);
   ASSERT_TRUE(session->Last().ok());
-  EXPECT_TRUE(CostsAgree(session->Last().cost, result->best_cost));
-  EXPECT_TRUE(SameTopology(session->Topo(), result->best_topo));
-  // And that state matches a cold solve (nothing stale was committed).
-  const EbfSolveResult cold = ColdReferenceSolve(*session);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_TRUE(CostsAgree(cold.cost, result->best_cost));
+  auto result = TopoOptimizer::Optimize(*session, FullBudgetOptions(30));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GE(result->initial_cost, 1.03 * result->best_cost)
+      << "NN-merge " << result->initial_cost << " vs searched "
+      << result->best_cost;
 }
 
 TEST(SearchOptimizer, AgreesWithTheExactOracleOnEveryAcceptedMove) {

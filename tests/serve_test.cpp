@@ -348,6 +348,9 @@ TEST(ServeConcurrent, ManyClientsOneServer) {
   }
   for (std::thread& t : clients) t.join();
 
+  // The clients were served across real spill/restore cycles, not by a
+  // cache large enough to hold every session.
+  Result<Json> stats = Json::Parse(dispatcher.HandleSync(R"({"op":"stats"})"));
   (*server)->Shutdown();
   server_thread.join();
 
@@ -357,6 +360,12 @@ TEST(ServeConcurrent, ManyClientsOneServer) {
     EXPECT_EQ(outcomes[static_cast<std::size_t>(c)].failures, 0)
         << "client " << c;
   }
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(stats->Find("ok")->AsBool());
+  const Json* cache = stats->Find("result");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_GT(cache->Find("evictions")->AsNumber(), 0.0);
+  EXPECT_GT(cache->Find("restores")->AsNumber(), 0.0);
 }
 
 // Shutdown driven over the wire: the requesting client gets its ack frame

@@ -94,17 +94,6 @@ for preset in "${presets[@]}"; do
     fi
   fi
 
-  # Engine agreement gates: lp_scaling --smoke solves fixed instances with
-  # cold and warm-started lazy rounds and fails on any objective
-  # disagreement; separation_scaling --smoke additionally demands the
-  # octant SoA separation oracle return bitwise-identical rows to the
-  # brute-force scan (serial and threaded) and the grid-soa NN-merge match
-  # the scan backend node for node; eco_scaling --smoke replays fixed edit
-  # streams and fails unless every incremental re-solve matches a cold
-  # solve of the edited instance. Skipped for tsan (single-threaded here;
-  # the slow tsan build is reserved for the concurrency slice above, whose
-  # self_check sweep already drives the octant oracle and the eco engine
-  # with --jobs workers).
   # Static contract gate: lubt_lint must report zero findings over the
   # real tree (unchecked Result access, nondeterminism sources, unordered
   # iteration, float ==, missing finite-boundary checks, include hygiene).
@@ -150,7 +139,7 @@ for preset in "${presets[@]}"; do
     # benches from the repo root, and a missing JSON means a curve was
     # silently dropped from a refresh.
     echo "==== [$preset] bench artifacts present ===="
-    for artifact in BENCH_lp.json BENCH_sep.json BENCH_eco.json BENCH_serve.json BENCH_topo.json; do
+    for artifact in BENCH_lp.json BENCH_sep.json; do
       if [[ ! -s "$artifact" ]]; then
         echo "missing bench artifact: $artifact (run the full bench to regenerate)"
         failed+=("$preset ($artifact missing)")
@@ -173,12 +162,16 @@ for preset in "${presets[@]}"; do
     tail -1 "/tmp/lubt-check-$preset-perfbench-smoke.log" | sed "s/^/[$preset] /"
   fi
 
-  # serve_load --smoke drives a real unix-socket server with concurrent
-  # clients and a cache budget below the session count, gating on every
-  # response succeeding AND on the stats showing actual evict/restore
-  # cycles — the server stack's end-to-end smoke.
+  # Engine agreement gates: lp_scaling --smoke solves fixed instances with
+  # cold and warm-started lazy rounds and fails on any objective
+  # disagreement; separation_scaling --smoke additionally demands the
+  # octant SoA separation oracle return bitwise-identical rows to the
+  # brute-force scan (serial and threaded) and the grid-soa NN-merge match
+  # the scan backend node for node. Skipped for tsan (single-threaded here;
+  # the slow tsan build is reserved for the concurrency slice above, whose
+  # self_check sweep already drives the octant oracle with --jobs workers).
   if [[ "$preset" == "default" || "$preset" == "asan" || "$preset" == "ubsan" ]]; then
-    for smoke in lp_scaling separation_scaling eco_scaling serve_load topo_search; do
+    for smoke in lp_scaling separation_scaling; do
       echo "==== [$preset] $smoke --smoke ===="
       if ! "./build-$preset/bench/$smoke" --smoke \
            > "/tmp/lubt-check-$preset-$smoke-smoke.log" 2>&1; then
